@@ -4,7 +4,7 @@
 Times the codec on 1500-byte packets with 8 parity packets across block
 lengths, then isolates the decoder's matrix-inversion step.  Expect the
 partitioned timings near half the plain ones, and inversion to be noise
-next to the per-byte matrix-vector work.
+next to the per-byte matrix-product work.
 """
 
 from fecpart import BenchConfig, bench_decode, bench_encode, bench_invert

@@ -7,7 +7,7 @@ binary erasure channel with brute-force and Monte-Carlo validators, a
 configuration planner, and a timing harness.
 """
 
-from .gf256 import SingularMatrixError, gf_div, gf_inv, gf_mul, gf_pow, mat_invert, mat_mul, mat_mul_vec
+from .gf256 import SingularMatrixError, gf_div, gf_inv, gf_mul, gf_pow, mat_invert, mat_mul
 from .codec import (
     CodeSpec,
     GeneratorMatrix,
@@ -90,7 +90,6 @@ __all__ = [
     "mac_counter",
     "mat_invert",
     "mat_mul",
-    "mat_mul_vec",
     "min_n_for_target",
     "monte_carlo_plr",
     "partitioned_loss_pmf",

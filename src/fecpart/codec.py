@@ -8,9 +8,11 @@ construction for packet FEC, which makes every k x k row-submatrix
 invertible.
 
 Per byte position, encoding costs exactly p*k symbol multiply-accumulates
-and erasure decoding e*k (e = number of lost source packets).  The
-module-level `mac_counter` tallies those operations so tests and benchmarks
-can verify the arithmetic cost rather than trust the O() claim.
+and erasure decoding e*k (e = number of lost source packets).  Encoding is
+one GF(256) matrix product (`gf256.mat_mul`) and decoding two; each call
+adds its exact count, p*k or e*k, to the module-level `mac_counter` in one
+step, so tests and benchmarks can verify the arithmetic cost rather than
+trust the O() claim.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf256 import MUL_TABLE, gf_pow, mat_invert, mat_mul
+from .gf256 import gf_pow, mat_invert, mat_mul
 
 MAX_CODE_LENGTH = 255  # one codeword symbol per nonzero field element
 
@@ -129,8 +131,16 @@ class PacketBlock:
         return cls(spec, len(payloads[0]), tuple(payloads))
 
     def erase(self, indices) -> "PacketBlock":
-        """Copy of this block with the given slots erased."""
+        """Copy of this block with the given slots erased.
+
+        Raises ValueError if an index is not a slot of this block.
+        """
         gone = set(indices)
+        if gone and not (0 <= min(gone) and max(gone) < len(self.packets)):
+            raise ValueError(
+                f"erase indices must lie in 0..{len(self.packets) - 1}, "
+                f"got {sorted(gone)}"
+            )
         packets = tuple(
             None if i in gone else pkt for i, pkt in enumerate(self.packets)
         )
@@ -163,116 +173,90 @@ def build_generator(spec: CodeSpec) -> GeneratorMatrix:
     return GeneratorMatrix(spec, matrix)
 
 
-def _as_arrays(packets) -> list:
-    # zero-copy uint8 views over the payload bytes
-    return [np.frombuffer(p, dtype=np.uint8) for p in packets]
+def _stack(packets, indices, size: int) -> np.ndarray:
+    # the chosen packets as the rows of one (len(indices), size) uint8 array
+    joined = b"".join([packets[i] for i in indices])
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(indices), size)
 
 
 def encode(gen: GeneratorMatrix, source: PacketBlock) -> PacketBlock:
     """Encode k source packets into n packets (sources + parity).
 
-    The k source packets pass through byte-identical; each parity packet is
-    the GF(256) dot product of its generator row with the source packets,
-    done per byte position (p*k MACs per byte in total).
+    The k source packets pass through byte-identical; the parity packets
+    are the GF(256) product of the generator's parity rows with the k x L
+    source array (p*k MACs per byte in total).
     """
     spec = gen.spec
     if len(source.packets) != spec.k or None in source.packets:
         raise ValueError(f"encode needs exactly {spec.k} present source packets")
-    src = _as_arrays(source.packets)
-    parity_rows = gen.parity_rows
-    out = []
-    for row in parity_rows:
-        acc = np.zeros(source.packet_size, dtype=np.uint8)
-        for j in range(spec.k):
-            acc ^= MUL_TABLE[row[j]][src[j]]
-            mac_counter.per_byte += 1
-        out.append(acc.tobytes())
-    return PacketBlock(spec, source.packet_size, source.packets + tuple(out))
+    sources = _stack(source.packets, range(spec.k), source.packet_size)
+    parity = mat_mul(gen.parity_rows, sources)
+    mac_counter.per_byte += spec.p * spec.k
+    return PacketBlock(
+        spec, source.packet_size, source.packets + tuple(row.tobytes() for row in parity)
+    )
 
 
-def select_rows(gen: GeneratorMatrix, present) -> list:
-    """The k generator rows the decoder uses for a given survivor set.
-
-    All surviving source rows first, then surviving parity rows in
-    ascending index until k rows are selected.
-    """
-    k = gen.spec.k
-    src_rows = [i for i in present if i < k]
-    par_rows = [i for i in present if i >= k]
-    rows = src_rows + par_rows[: k - len(src_rows)]
-    if len(rows) != k:
-        raise ValueError("fewer than k packets present")
+def _parity_rows(gen: GeneratorMatrix, gone: set, e: int) -> list:
+    # the decoder's row choice beyond the surviving (identity) source rows:
+    # the first e surviving parity rows, in ascending index
+    rows = [i for i in range(gen.spec.k, gen.spec.n) if i not in gone][:e]
+    if len(rows) < e:
+        raise ValueError(f"{e} erased sources exceed {len(rows)} surviving parity packets")
     return rows
 
 
-def decoding_matrix(gen: GeneratorMatrix, erased_sources) -> np.ndarray:
-    """The e x e matrix the decoder inverts for a given source-erasure set.
+def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
+    """The e x e matrix the decoder inverts for a given set of erased slots.
 
-    With the decoder's row selection, the surviving source rows are
-    identity rows, so the k x k system reduces exactly to this block: the
-    first e parity rows (this helper assumes the parity packets survived,
-    the decoder's worst case) restricted to the erased source columns.
-    This is the matrix whose inversion cost the benchmark isolates.
+    The decoder solves with the surviving source rows, which are identity
+    rows, plus the first e surviving parity rows, so the k x k system
+    reduces exactly to this block: those parity rows restricted to the e
+    erased source columns.  `decode` builds its block here; passing erased
+    sources only gives the worst case the benchmark isolates, where every
+    parity packet survived and the first e parity rows are used.
+
+    Raises ValueError if fewer than k packets survive.
     """
-    k = gen.spec.k
-    missing = sorted(erased_sources)
-    e = len(missing)
-    if e == 0:
-        return np.zeros((0, 0), dtype=np.uint8)
-    if e > gen.spec.p:
-        raise ValueError(f"{e} erased sources exceed {gen.spec.p} parity packets")
-    parity_rows = [k + j for j in range(e)]
-    return np.ascontiguousarray(gen.matrix[np.ix_(parity_rows, missing)])
+    gone = set(erased)
+    missing = [i for i in range(gen.spec.k) if i in gone]
+    return gen.matrix[_parity_rows(gen, gone, len(missing))][:, missing]
 
 
 def decode(gen: GeneratorMatrix, received: PacketBlock) -> list:
     """Recover the k source packets from any >= k received packets.
 
     If every source packet survived they are returned as-is with no matrix
-    work.  Otherwise the decoder selects k rows (surviving sources first,
-    then parity in ascending index) and solves for the missing sources
+    work.  Otherwise the decoder uses k rows (surviving sources, then the
+    first e surviving parity rows) and solves for the missing sources
     only: because the source rows are identity rows, the k x k submatrix
-    inversion reduces to inverting the e x e block returned by
-    `decoding_matrix`, and reconstruction costs e*k MACs per byte.
+    inversion reduces to inverting the e x e block built by
+    `decoding_matrix`.  Two matrix products then recover the sources: the
+    selected parity minus the surviving sources' share (e*(k-e) MACs per
+    byte), times the inverted block (e*e), so e*k MACs per byte in all.
     """
     spec = gen.spec
+    k = spec.k
     if len(received.packets) != spec.n:
         raise ValueError(f"decode needs a coded block with {spec.n} slots")
     packets = received.packets
-    present = received.present_indices
-    missing_src = [i for i in range(spec.k) if packets[i] is None]
-    if len(present) < spec.k:
-        raise UnrecoverableBlockError(missing_src, len(present), spec.k)
+    missing = received.missing_indices
+    missing_src = [i for i in missing if i < k]
+    if len(missing) > spec.p:
+        raise UnrecoverableBlockError(missing_src, spec.n - len(missing), k)
     if not missing_src:
-        return [packets[i] for i in range(spec.k)]
+        return list(packets[:k])
 
-    surviving_src = [i for i in range(spec.k) if packets[i] is not None]
-    rows = select_rows(gen, present)
-    parity_rows = rows[len(surviving_src):]  # e of them, ascending
-
-    e = len(missing_src)
-    b_inv = mat_invert(gen.matrix[np.ix_(parity_rows, missing_src)])
-
-    # rhs_i = y_i - sum over surviving sources of G[row_i, s] * x_s
-    src_arrays = {s: np.frombuffer(packets[s], dtype=np.uint8) for s in surviving_src}
-    rhs = []
-    for row in parity_rows:
-        acc = np.frombuffer(packets[row], dtype=np.uint8).copy()
-        coefs = gen.matrix[row]
-        for s in surviving_src:
-            acc ^= MUL_TABLE[coefs[s]][src_arrays[s]]
-            mac_counter.per_byte += 1
-        rhs.append(acc)
-
-    recovered = {}
-    for m in range(e):
-        acc = np.zeros(received.packet_size, dtype=np.uint8)
-        for j in range(e):
-            acc ^= MUL_TABLE[b_inv[m, j]][rhs[j]]
-            mac_counter.per_byte += 1
-        recovered[missing_src[m]] = acc.tobytes()
-
+    surviving = [i for i in range(k) if packets[i] is not None]
+    parity_rows = _parity_rows(gen, set(missing), len(missing_src))
+    size = received.packet_size
+    # rhs_i = y_i - sum over surviving sources s of G[row_i, s] * x_s
+    rhs = _stack(packets, parity_rows, size) ^ mat_mul(
+        gen.matrix[parity_rows][:, surviving], _stack(packets, surviving, size)
+    )
+    lost = mat_mul(mat_invert(decoding_matrix(gen, missing)), rhs)
+    mac_counter.per_byte += len(missing_src) * k
+    recovered = iter(lost)
     return [
-        packets[i] if packets[i] is not None else recovered[i]
-        for i in range(spec.k)
+        pkt if pkt is not None else next(recovered).tobytes() for pkt in packets[:k]
     ]

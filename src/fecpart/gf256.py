@@ -3,8 +3,9 @@
 Field elements are plain ints in 0..255 (or uint8 numpy arrays for bulk
 work); matrices are 2-D uint8 numpy arrays.  Multiplication uses log/antilog
 tables built once at import for the reduction polynomial x^8+x^4+x^3+x^2+1
-(0x11D), plus a full 256x256 product table so that multiplying a whole
-packet by a coefficient is a single table gather.
+(0x11D), plus a full 256x256 product table so that a matrix product is a table
+gather: `mat_mul` is the one bulk product, used by the generator
+construction and by the codec's encoder and decoder.
 
 Everything here is pure and operates on immutable tables, so concurrent use
 is safe.
@@ -48,6 +49,9 @@ EXP_TABLE.setflags(write=False)
 LOG_TABLE.setflags(write=False)
 MUL_TABLE.setflags(write=False)
 INV_TABLE.setflags(write=False)
+_FLAT_MUL = MUL_TABLE.ravel()
+# intp entries per mat_mul gather block: 256 KiB of indices
+_GATHER_INDICES = 1 << 15
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -81,35 +85,34 @@ def gf_pow(a: int, e: int) -> int:
     return int(EXP_TABLE[(LOG_TABLE[a] * e) % 255])
 
 
-def mul_bytes(coef: int, data: np.ndarray) -> np.ndarray:
-    """Multiply every byte of `data` by the scalar `coef`."""
-    return MUL_TABLE[coef][data]
-
-
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.uint8)
 
 
-def mat_mul_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product over GF(256)."""
-    m = np.asarray(m, dtype=np.uint8)
-    v = np.asarray(v, dtype=np.uint8)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} x {v.shape}")
-    if v.shape[0] == 0:
-        return np.zeros(m.shape[0], dtype=np.uint8)
-    prods = MUL_TABLE[m, v[None, :]]
-    return np.bitwise_xor.reduce(prods, axis=1)
-
-
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix-matrix product over GF(256)."""
+    """Matrix-matrix product over GF(256).
+
+    Row i of the result XORs together the rows of `b`, each multiplied by
+    its coefficient in row i of `a`: one gather from the flat product table
+    per row of `a` and column block of `b`, so the work is one table lookup
+    per multiply-accumulate.  Column blocks are sized so the gather's index
+    block (inner dimension x block width) stays cache-resident.
+    """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    prods = MUL_TABLE[a[:, :, None], b[None, :, :]]
-    return np.bitwise_xor.reduce(prods, axis=1)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    if b.shape[0] == 0:
+        return out
+    # a[i, j] << 8 | b[j, c] indexes MUL_TABLE[a[i, j], b[j, c]] in the flat table
+    row_offsets = (a.astype(np.intp) << 8)[:, :, None]
+    width = max(1, _GATHER_INDICES // b.shape[0])
+    for lo in range(0, b.shape[1], width):
+        cols = b[:, lo : lo + width]
+        for offsets, dest in zip(row_offsets, out[:, lo : lo + width]):
+            np.bitwise_xor.reduce(_FLAT_MUL.take(offsets + cols), axis=0, out=dest)
+    return out
 
 
 def mat_invert(m: np.ndarray) -> np.ndarray:

@@ -187,12 +187,6 @@ def brute_force_plr(code, ch: BecChannel) -> PlrReport:
     return PlrReport(plr=expected / k_norm, method="brute_force")
 
 
-def _pack_masks(masks: np.ndarray) -> np.ndarray:
-    # one uint64 per trial row; codeword lengths here never exceed 64 bits
-    bits = np.left_shift(np.uint64(1), np.arange(masks.shape[1], dtype=np.uint64))
-    return masks.astype(np.uint64) @ bits
-
-
 def _draw_masks(rng, trials: int, width: int, p_e: float) -> np.ndarray:
     masks = np.empty((trials, width), dtype=bool)
     for start in range(0, trials, _CHUNK):
@@ -201,8 +195,12 @@ def _draw_masks(rng, trials: int, width: int, p_e: float) -> np.ndarray:
     return masks
 
 
-def _mask_bits(packed: int, width: int) -> list:
-    return [i for i in range(width) if (packed >> i) & 1]
+def _distinct_patterns(masks: np.ndarray) -> list:
+    # the erased slot indices of each distinct mask row, whatever its width;
+    # rows are packed to bytes first so the dedup sorts short keys
+    packed = np.unique(np.packbits(masks, axis=1), axis=0)
+    rows = np.unpackbits(packed, axis=1, count=masks.shape[1])
+    return [np.flatnonzero(row).tolist() for row in rows]
 
 
 def _random_payloads(rng, count: int, size: int = 4) -> tuple:
@@ -248,8 +246,7 @@ def monte_carlo_plr(code, ch: BecChannel, trials: int, seed: int) -> PlrReport:
             payloads = _random_payloads(rng, k_norm)
             source = PacketBlock.source(code.parent, payloads)
             coded = encode_partitioned(code, source, gens)
-            for packed in np.unique(_pack_masks(masks[to_decode])):
-                idx = _mask_bits(int(packed), n1 + n2)
+            for idx in _distinct_patterns(masks[to_decode]):
                 rx1 = coded[0].erase([i for i in idx if i < n1])
                 rx2 = coded[1].erase([i - n1 for i in idx if i >= n1])
                 recovered = decode_partitioned(code, (rx1, rx2), gens)
@@ -272,8 +269,7 @@ def monte_carlo_plr(code, ch: BecChannel, trials: int, seed: int) -> PlrReport:
             gen = build_generator(spec)
             payloads = _random_payloads(rng, spec.k)
             coded = encode(gen, PacketBlock.source(spec, payloads))
-            for packed in np.unique(_pack_masks(masks[to_decode])):
-                idx = _mask_bits(int(packed), spec.n)
+            for idx in _distinct_patterns(masks[to_decode]):
                 recovered = decode(gen, coded.erase(idx))
                 if recovered != list(payloads):
                     raise AssertionError(f"decode corrupted data for pattern {idx}")

@@ -106,6 +106,9 @@ def test_packet_block_erase_and_indices():
     erased = block.erase([1, 5])
     assert erased.missing_indices == [1, 5]
     assert erased.present_indices == [0, 2, 3, 4]
+    for bad in ([6], [-1], [200], [3, 6]):  # not slots of this block
+        with pytest.raises(ValueError):
+            block.erase(bad)
 
 
 def test_decode_fast_path_performs_no_inversion(monkeypatch):

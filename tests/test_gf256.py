@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fecpart.gf256 import (
+    _GATHER_INDICES,
     EXP_TABLE,
     LOG_TABLE,
     MUL_TABLE,
@@ -16,8 +17,6 @@ from fecpart.gf256 import (
     identity,
     mat_invert,
     mat_mul,
-    mat_mul_vec,
-    mul_bytes,
 )
 
 
@@ -107,42 +106,38 @@ def test_associativity_and_distributivity_random_triples():
     assert np.array_equal(MUL_TABLE[a, b ^ c], MUL_TABLE[a, b] ^ MUL_TABLE[a, c])
 
 
-def test_mul_bytes_matches_scalar():
-    rng = np.random.default_rng(3)
-    data = rng.integers(0, 256, 512, dtype=np.uint8)
-    for coef in (0, 1, 2, 77, 255):
-        expected = np.array([gf_mul(coef, int(x)) for x in data], dtype=np.uint8)
-        assert np.array_equal(mul_bytes(coef, data), expected)
+def reference_mat_mul(a, b):
+    # naive triple-loop oracle over the scalar product
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i in range(a.shape[0]):
+        for c in range(b.shape[1]):
+            acc = 0
+            for j in range(a.shape[1]):
+                acc ^= gf_mul(int(a[i, j]), int(b[j, c]))
+            out[i, c] = acc
+    return out
 
 
-def reference_mat_mul_vec(m, v):
-    # naive triple-loop oracle
-    out = []
-    for i in range(m.shape[0]):
-        acc = 0
-        for j in range(m.shape[1]):
-            acc ^= gf_mul(int(m[i, j]), int(v[j]))
-        out.append(acc)
-    return np.array(out, dtype=np.uint8)
-
-
-def test_mat_mul_vec_identity_and_zero():
-    v = np.array([9, 200, 31], dtype=np.uint8)
-    assert np.array_equal(mat_mul_vec(identity(3), v), v)
-    assert np.array_equal(mat_mul_vec(np.zeros((3, 3), np.uint8), v), np.zeros(3, np.uint8))
-
-
-def test_mat_mul_vec_matches_scalar_loop():
+def test_mat_mul_matches_scalar_loop():
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        m = rng.integers(0, 256, (4, 3), dtype=np.uint8)
-        v = rng.integers(0, 256, 3, dtype=np.uint8)
-        assert np.array_equal(mat_mul_vec(m, v), reference_mat_mul_vec(m, v))
+    inner = 64
+    wide = 2 * (_GATHER_INDICES // inner) + 3  # spans three column blocks
+    shapes = [(3, 20, 1), (3, 20, 4), (3, 20, 1500), (2, inner, wide), (4, 1, 7)]
+    for rows, inner_dim, cols in shapes:
+        a = rng.integers(0, 256, (rows, inner_dim), dtype=np.uint8)
+        b = rng.integers(0, 256, (inner_dim, cols), dtype=np.uint8)
+        assert np.array_equal(mat_mul(a, b), reference_mat_mul(a, b))
+    v = rng.integers(0, 256, (3, 5), dtype=np.uint8)
+    assert np.array_equal(mat_mul(identity(3), v), v)
+    assert np.array_equal(mat_mul(np.zeros((3, 0), np.uint8), np.zeros((0, 5), np.uint8)),
+                          np.zeros((3, 5), np.uint8))
 
 
-def test_mat_mul_vec_dimension_mismatch():
+def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
-        mat_mul_vec(np.zeros((3, 4), np.uint8), np.zeros(3, np.uint8))
+        mat_mul(np.zeros((3, 4), np.uint8), np.zeros((3, 2), np.uint8))
+    with pytest.raises(ValueError):
+        mat_mul(np.zeros((3, 4), np.uint8), np.zeros(4, np.uint8))
 
 
 def test_mat_invert_identity():

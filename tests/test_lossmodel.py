@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fecpart.lossmodel as lossmodel
 from fecpart.codec import CodeSpec, PacketBlock, UnrecoverableBlockError, build_generator, decode, encode
 from fecpart.lossmodel import (
     BecChannel,
@@ -283,6 +284,24 @@ def test_monte_carlo_partitioned_consistent_with_analytic():
 def test_monte_carlo_rejects_bad_trials():
     with pytest.raises(ValueError):
         monte_carlo_plr(CodeSpec(6, 4), BecChannel(0.1), trials=0, seed=1)
+
+
+def test_monte_carlo_verifies_erasures_beyond_slot_63(monkeypatch):
+    # every pattern handed to the codec must carry all of its erasures,
+    # including those at slots >= 64 of a code longer than 64 packets
+    seen = []
+    real_decode = lossmodel.decode
+
+    def recording_decode(gen, received):
+        seen.append(received.missing_indices)
+        return real_decode(gen, received)
+
+    monkeypatch.setattr(lossmodel, "decode", recording_decode)
+    spec = CodeSpec(100, 90)
+    monte_carlo_plr(spec, BecChannel(0.05), 2000, 1)
+    assert seen
+    assert all(any(i < spec.k for i in missing) for missing in seen)
+    assert max(max(missing) for missing in seen) >= 64
 
 
 def test_zero_excess_partition_penalty_sign_observation():
