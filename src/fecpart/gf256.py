@@ -50,8 +50,8 @@ LOG_TABLE.setflags(write=False)
 MUL_TABLE.setflags(write=False)
 INV_TABLE.setflags(write=False)
 _FLAT_MUL = MUL_TABLE.ravel()
-# intp entries per mat_mul gather block: 256 KiB of indices
-_GATHER_INDICES = 1 << 15
+# intp entries per mat_mul gather block: 64 KiB of indices
+_GATHER_INDICES = 1 << 13
 
 
 def gf_mul(a: int, b: int) -> int:
