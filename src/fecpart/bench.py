@@ -2,8 +2,10 @@
 
 Measures wall time per operation over a sweep of block lengths, reporting
 median and median absolute deviation (scheduler noise on small boards is
-heavy-tailed, so means mislead).  Timed regions cover the codec call only:
-generator construction, payload allocation and RNG all happen outside.
+heavy-tailed, so means mislead).  The points of one sweep are timed
+round-robin, so they share the machine's state.  Timed regions cover the
+codec call only: generator construction, payload allocation and RNG all
+happen outside.
 Decode is timed in its worst case, with every erasure hitting a source
 packet so the decoder must invert and reconstruct.
 
@@ -92,18 +94,25 @@ def to_csv(points) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _measure(fn, iterations: int) -> tuple:
-    """Median and MAD of per-call wall time, in ms, after warm-up."""
-    for _ in range(WARMUP_ITERATIONS):
-        fn()
-    samples = np.empty(iterations)
+def _measure(fns, iterations: int) -> list:
+    """Median and MAD of per-call wall time, in ms, for each callable.
+
+    After warm-up the callables are timed round-robin, one call each per
+    round, so a drift in machine speed during the sweep moves every point
+    alike rather than skewing the ratios between them.
+    """
+    for fn in fns:
+        for _ in range(WARMUP_ITERATIONS):
+            fn()
+    samples = np.empty((len(fns), iterations))
     for i in range(iterations):
-        start = time.perf_counter_ns()
-        fn()
-        samples[i] = time.perf_counter_ns() - start
-    median = float(np.median(samples))
-    mad = float(np.median(np.abs(samples - median)))
-    return median / 1e6, mad / 1e6
+        for j, fn in enumerate(fns):
+            start = time.perf_counter_ns()
+            fn()
+            samples[j, i] = time.perf_counter_ns() - start
+    medians = np.median(samples, axis=1)
+    mads = np.median(np.abs(samples - medians[:, None]), axis=1)
+    return [(float(m) / 1e6, float(d) / 1e6) for m, d in zip(medians, mads)]
 
 
 def _payloads(rng, k: int, size: int) -> list:
@@ -115,26 +124,15 @@ def _source_block(cfg: BenchConfig, spec: CodeSpec):
     return PacketBlock.source(spec, _payloads(rng, spec.k, cfg.packet_size))
 
 
-def bench_encode(cfg: BenchConfig, mode: str) -> list:
-    """Encode wall time per k, on fixed seeded payloads."""
-    _check_mode(mode)
-    points = []
-    for k in cfg.k_values:
-        spec = CodeSpec(k + cfg.parity, k)
-        source = _source_block(cfg, spec)
-        if mode == "plain":
-            gen = build_generator(spec)
-            fn = lambda: encode(gen, source)
-        else:
-            ps = split(spec)
-            gens = half_generators(ps)
-            fn = lambda: encode_partitioned(ps, source, gens)
-        median, mad = _measure(fn, cfg.iterations)
-        points.append(
-            BenchPoint(k, mode, "encode", median, mad, cfg.iterations,
-                       cfg.packet_size, cfg.parity)
-        )
-    return points
+def _encode_call(cfg: BenchConfig, k: int, mode: str):
+    spec = CodeSpec(k + cfg.parity, k)
+    source = _source_block(cfg, spec)
+    if mode == "plain":
+        gen = build_generator(spec)
+        return lambda: encode(gen, source)
+    ps = split(spec)
+    gens = half_generators(ps)
+    return lambda: encode_partitioned(ps, source, gens)
 
 
 def _erase_sources(block, count: int):
@@ -142,31 +140,40 @@ def _erase_sources(block, count: int):
     return block.erase(range(count))
 
 
+def _decode_call(cfg: BenchConfig, k: int, mode: str):
+    spec = CodeSpec(k + cfg.parity, k)
+    source = _source_block(cfg, spec)
+    e = min(cfg.erasures, k)
+    if mode == "plain":
+        gen = build_generator(spec)
+        rx = _erase_sources(encode(gen, source), e)
+        return lambda: decode(gen, rx)
+    ps = split(spec)
+    gens = half_generators(ps)
+    coded1, coded2 = encode_partitioned(ps, source, gens)
+    rx1 = _erase_sources(coded1, min((e + 1) // 2, ps.first.k))
+    rx2 = _erase_sources(coded2, min(e // 2, ps.second.k))
+    return lambda: decode_partitioned(ps, (rx1, rx2), gens)
+
+
+def _bench_sweep(cfg: BenchConfig, mode: str, phase: str, make_call) -> list:
+    _check_mode(mode)
+    fns = [make_call(cfg, k, mode) for k in cfg.k_values]
+    return [
+        BenchPoint(k, mode, phase, median, mad, cfg.iterations,
+                   cfg.packet_size, cfg.parity)
+        for k, (median, mad) in zip(cfg.k_values, _measure(fns, cfg.iterations))
+    ]
+
+
+def bench_encode(cfg: BenchConfig, mode: str) -> list:
+    """Encode wall time per k, on fixed seeded payloads."""
+    return _bench_sweep(cfg, mode, "encode", _encode_call)
+
+
 def bench_decode(cfg: BenchConfig, mode: str) -> list:
     """Decode wall time per k with cfg.erasures source packets erased."""
-    _check_mode(mode)
-    points = []
-    for k in cfg.k_values:
-        spec = CodeSpec(k + cfg.parity, k)
-        source = _source_block(cfg, spec)
-        if mode == "plain":
-            gen = build_generator(spec)
-            rx = _erase_sources(encode(gen, source), min(cfg.erasures, k))
-            fn = lambda: decode(gen, rx)
-        else:
-            ps = split(spec)
-            gens = half_generators(ps)
-            coded1, coded2 = encode_partitioned(ps, source, gens)
-            e = min(cfg.erasures, k)
-            rx1 = _erase_sources(coded1, min((e + 1) // 2, ps.first.k))
-            rx2 = _erase_sources(coded2, min(e // 2, ps.second.k))
-            fn = lambda: decode_partitioned(ps, (rx1, rx2), gens)
-        median, mad = _measure(fn, cfg.iterations)
-        points.append(
-            BenchPoint(k, mode, "decode", median, mad, cfg.iterations,
-                       cfg.packet_size, cfg.parity)
-        )
-    return points
+    return _bench_sweep(cfg, mode, "decode", _decode_call)
 
 
 def bench_invert(k: int, iterations: int, parity: int = 8,
@@ -197,7 +204,7 @@ def bench_invert(k: int, iterations: int, parity: int = 8,
             mat_invert(decoding_matrix(g1, erased1))
             mat_invert(decoding_matrix(g2, erased2))
 
-    median, mad = _measure(fn, iterations)
+    ((median, mad),) = _measure([fn], iterations)
     return BenchPoint(k, mode, "invert", median, mad, iterations, 0, parity)
 
 

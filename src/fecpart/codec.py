@@ -219,7 +219,7 @@ def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
     Raises ValueError if fewer than k packets survive.
     """
     gone = set(erased)
-    missing = [i for i in range(gen.spec.k) if i in gone]
+    missing = sorted(i for i in gone if 0 <= i < gen.spec.k)
     return gen.matrix[_parity_rows(gen, gone, len(missing))][:, missing]
 
 

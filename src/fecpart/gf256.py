@@ -118,10 +118,11 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mat_invert(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix by Gauss-Jordan elimination.
 
-    Pivots on the first nonzero element of each column (exact arithmetic,
-    so any nonzero pivot is as good as any other) and only touches rows
-    whose factor is nonzero, which makes elimination cheap on the
-    identity-heavy matrices the erasure decoder produces.
+    Pivots on the diagonal element when it is nonzero and otherwise on the
+    first nonzero element below it (exact arithmetic, so any nonzero pivot
+    is as good as any other).  Each column is cleared from every row in one
+    table gather: the matrices inverted here (the decoder's e x e block, a
+    Vandermonde block) are dense, so selecting rows would save nothing.
 
     Raises SingularMatrixError if the matrix has no inverse.
     """
@@ -131,18 +132,17 @@ def mat_invert(m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     aug = np.concatenate([m, identity(n)], axis=1)
     for col in range(n):
-        below = np.nonzero(aug[col:, col])[0]
-        if below.size == 0:
-            raise SingularMatrixError(f"matrix is singular at column {col}")
-        piv = col + int(below[0])
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
         pivot = aug[col, col]
-        if pivot != 1:
-            aug[col] = MUL_TABLE[INV_TABLE[pivot]][aug[col]]
-        factors = aug[:, col].copy()
-        factors[col] = 0
-        rows = np.nonzero(factors)[0]
-        if rows.size:
-            aug[rows] ^= MUL_TABLE[factors[rows, None], aug[col][None, :]]
-    return np.ascontiguousarray(aug[:, n:])
+        if not pivot:
+            below = np.flatnonzero(aug[col:, col])
+            if below.size == 0:
+                raise SingularMatrixError(f"matrix is singular at column {col}")
+            piv = col + int(below[0])
+            aug[[col, piv]] = aug[[piv, col]]
+            pivot = aug[col, col]
+        row = MUL_TABLE[INV_TABLE[pivot], aug[col]]
+        # row has a 1 in this column, so this zeroes the column in every
+        # row, the pivot row included, which then takes the scaled row
+        aug ^= MUL_TABLE[aug[:, col, None], row]
+        aug[col] = row
+    return aug[:, n:].copy()

@@ -133,6 +133,30 @@ def test_mat_mul_matches_scalar_loop():
                           np.zeros((3, 5), np.uint8))
 
 
+def test_mul_bytes_matches_scalar():
+    # one coefficient times a row of bytes: a 1x1 by 1xL product
+    rng = np.random.default_rng(3)
+    data = rng.integers(0, 256, (1, 512), dtype=np.uint8)
+    for coef in (0, 1, 2, 77, 255):
+        expected = np.array([[gf_mul(coef, int(x)) for x in data[0]]], dtype=np.uint8)
+        assert np.array_equal(mat_mul(np.array([[coef]], np.uint8), data), expected)
+
+
+def test_mat_mul_vec_identity_and_zero():
+    v = np.array([[9], [200], [31]], dtype=np.uint8)
+    assert np.array_equal(mat_mul(identity(3), v), v)
+    assert np.array_equal(mat_mul(np.zeros((3, 3), np.uint8), v), np.zeros((3, 1), np.uint8))
+
+
+def test_mat_mul_vec_matches_scalar_loop():
+    # matrix times a single column, the shape of a one-byte packet
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        m = rng.integers(0, 256, (4, 3), dtype=np.uint8)
+        v = rng.integers(0, 256, (3, 1), dtype=np.uint8)
+        assert np.array_equal(mat_mul(m, v), reference_mat_mul(m, v))
+
+
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         mat_mul(np.zeros((3, 4), np.uint8), np.zeros((3, 2), np.uint8))
