@@ -156,24 +156,45 @@ def _decode_call(cfg: BenchConfig, k: int, mode: str):
     return lambda: decode_partitioned(ps, (rx1, rx2), gens)
 
 
-def _bench_sweep(cfg: BenchConfig, mode: str, phase: str, make_call) -> list:
-    _check_mode(mode)
-    fns = [make_call(cfg, k, mode) for k in cfg.k_values]
+def _invert_call(cfg: BenchConfig, k: int, mode: str):
+    # each part's worst case: as many source erasures as it can repair
+    spec = CodeSpec(k + cfg.parity, k)
+    code = spec if mode == "plain" else split(spec)
+    blocks = [(build_generator(part), range(min(part.p, part.k))) for part in code.parts]
+
+    def fn():
+        for gen, erased in blocks:
+            mat_invert(decoding_matrix(gen, erased))
+
+    return fn
+
+
+_CALLS = {"encode": _encode_call, "decode": _decode_call, "invert": _invert_call}
+
+
+def _sweep(cfg: BenchConfig, modes, phase: str) -> list:
+    # one point per (mode, k), all timed round-robin in one _measure
+    for mode in modes:
+        _check_mode(mode)
+    if phase not in _CALLS:
+        raise ValueError(f"unknown phase {phase!r}")
+    cells = [(mode, k) for mode in modes for k in cfg.k_values]
+    fns = [_CALLS[phase](cfg, k, mode) for mode, k in cells]
+    size = 0 if phase == "invert" else cfg.packet_size
     return [
-        BenchPoint(k, mode, phase, median, mad, cfg.iterations,
-                   cfg.packet_size, cfg.parity)
-        for k, (median, mad) in zip(cfg.k_values, _measure(fns, cfg.iterations))
+        BenchPoint(k, mode, phase, median, mad, cfg.iterations, size, cfg.parity)
+        for (mode, k), (median, mad) in zip(cells, _measure(fns, cfg.iterations))
     ]
 
 
 def bench_encode(cfg: BenchConfig, mode: str) -> list:
     """Encode wall time per k, on fixed seeded payloads."""
-    return _bench_sweep(cfg, mode, "encode", _encode_call)
+    return _sweep(cfg, (mode,), "encode")
 
 
 def bench_decode(cfg: BenchConfig, mode: str) -> list:
     """Decode wall time per k with cfg.erasures source packets erased."""
-    return _bench_sweep(cfg, mode, "decode", _decode_call)
+    return _sweep(cfg, (mode,), "decode")
 
 
 def bench_invert(k: int, iterations: int, parity: int = 8,
@@ -186,46 +207,20 @@ def bench_invert(k: int, iterations: int, parity: int = 8,
     the partitioned mode both halves' inversions are timed together, since
     a partitioned decode performs both.
     """
-    _check_mode(mode)
-    if iterations < 10:
-        raise ValueError(f"iterations must be >= 10, got {iterations}")
-    spec = CodeSpec(k + parity, k)
-    if mode == "plain":
-        gen = build_generator(spec)
-        erased = range(min(parity, k))
-        fn = lambda: mat_invert(decoding_matrix(gen, erased))
-    else:
-        ps = split(spec)
-        g1, g2 = half_generators(ps)
-        erased1 = range(min(ps.first.p, ps.first.k))
-        erased2 = range(min(ps.second.p, ps.second.k))
-
-        def fn():
-            mat_invert(decoding_matrix(g1, erased1))
-            mat_invert(decoding_matrix(g2, erased2))
-
-    ((median, mad),) = _measure([fn], iterations)
-    return BenchPoint(k, mode, "invert", median, mad, iterations, 0, parity)
+    cfg = BenchConfig(k_values=(k,), parity=parity, iterations=iterations)
+    (point,) = _sweep(cfg, (mode,), "invert")
+    return point
 
 
 def run_bench(cfg: BenchConfig, modes=MODES, phases=PHASES) -> list:
-    """Full sweep over the requested modes and phases, in stable order."""
-    points = []
-    for mode in modes:
-        _check_mode(mode)
-        for phase in phases:
-            if phase == "encode":
-                points.extend(bench_encode(cfg, mode))
-            elif phase == "decode":
-                points.extend(bench_decode(cfg, mode))
-            elif phase == "invert":
-                points.extend(
-                    bench_invert(k, cfg.iterations, cfg.parity, mode)
-                    for k in cfg.k_values
-                )
-            else:
-                raise ValueError(f"unknown phase {phase!r}")
-    return points
+    """Full sweep over the requested modes and phases, in stable order.
+
+    All modes of a phase are timed in one round-robin sweep, so the
+    comparison between modes shares the machine's state; points come out
+    ordered by mode, then phase, then k.
+    """
+    points = [pt for phase in phases for pt in _sweep(cfg, modes, phase)]
+    return sorted(points, key=lambda pt: (modes.index(pt.mode), phases.index(pt.phase)))
 
 
 def _check_mode(mode: str):

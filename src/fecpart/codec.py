@@ -83,6 +83,11 @@ class CodeSpec:
     def p(self) -> int:
         return self.n - self.k
 
+    @property
+    def parts(self) -> tuple:
+        """The independently coded parts: a plain code is its own one part."""
+        return (self,)
+
 
 @dataclass(frozen=True)
 class GeneratorMatrix:

@@ -9,27 +9,35 @@ max(p+1, i) <= e <= p+i, with the i losses placed among the k source
 positions hypergeometrically.  The residual PLR is the mean of that
 distribution divided by k.
 
-A partitioned code loses the sum of two independent per-half counts, so its
-distribution is the discrete convolution of the halves'.
+Every code is a tuple of independent parts (`code.parts`): a plain code is
+its own one part, a partitioned code its two halves.  Expected losses add
+over the parts, so a partitioned code's PLR is the parts' PLRs weighted by
+their k; its loss distribution, the convolution of the parts', is needed
+only where a distribution is reported.
 
 Two independent validation paths live alongside the formulas: exact
 brute-force enumeration of every erasure pattern (small n), and a seeded
-Monte-Carlo driver that pushes real packets through the actual codec.
+Monte-Carlo driver that pushes real packets through the actual codec, part
+by part.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import CodeSpec, PacketBlock, build_generator, decode, encode
-from .partition import PartitionSpec, decode_partitioned, encode_partitioned, half_generators
+from .partition import PartitionSpec
+# not called here; perfbench/tracing.py wraps these names on this module
+from .partition import decode_partitioned, encode_partitioned, half_generators  # noqa: F401
 
 BRUTE_FORCE_MAX_N = 24
 _LOG_SPACE_THRESHOLD = 60
-_CHUNK = 1 << 20
+# rows (patterns or trials) per vectorised step, so memory stays flat
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,13 +118,12 @@ def loss_pmf(spec: CodeSpec, ch: BecChannel) -> LossPmf:
 def partitioned_loss_pmf(ps: PartitionSpec, ch: BecChannel) -> LossPmf:
     """Distribution of lost source packets for a partitioned code.
 
-    The halves fail independently, so the joint loss count is the
-    convolution of the per-half distributions (np.convolve applies exactly
-    the per-half support bounds).
+    The parts fail independently, so the joint loss count is the
+    convolution of the per-part distributions (np.convolve applies exactly
+    the per-part support bounds).
     """
-    pmf1 = loss_pmf(ps.first, ch).probabilities
-    pmf2 = loss_pmf(ps.second, ch).probabilities
-    return LossPmf(ps, np.convolve(pmf1, pmf2))
+    pmfs = (loss_pmf(part, ch).probabilities for part in ps.parts)
+    return LossPmf(ps, functools.reduce(np.convolve, pmfs))
 
 
 def analytic_plr(spec: CodeSpec, ch: BecChannel) -> PlrReport:
@@ -127,21 +134,11 @@ def analytic_plr(spec: CodeSpec, ch: BecChannel) -> PlrReport:
 def partitioned_plr(ps: PartitionSpec, ch: BecChannel) -> PlrReport:
     """Residual PLR of a partitioned code, normalized by the parent k.
 
-    Computed from the convolved distribution; by linearity it must equal
-    the per-half weighted average (k1*PLR1 + k2*PLR2) / k, which is checked
-    here as an internal consistency guard.
+    Expected losses add over the independent parts, so this is the parts'
+    PLRs weighted by their k: (k1*PLR1 + k2*PLR2) / k.
     """
-    k = ps.parent.k
-    plr = partitioned_loss_pmf(ps, ch).mean / k
-    per_half = (
-        ps.first.k * analytic_plr(ps.first, ch).plr
-        + ps.second.k * analytic_plr(ps.second, ch).plr
-    ) / k
-    if not math.isclose(plr, per_half, rel_tol=1e-9, abs_tol=1e-12):
-        raise AssertionError(
-            f"convolution PLR {plr} disagrees with per-half average {per_half}"
-        )
-    return PlrReport(plr=plr, method="analytic")
+    lost = sum(part.k * analytic_plr(part, ch).plr for part in ps.parts)
+    return PlrReport(plr=lost / ps.parent.k, method="analytic")
 
 
 def _pattern_weights(erasures: np.ndarray, n: int, p_e: float) -> np.ndarray:
@@ -156,16 +153,11 @@ def brute_force_plr(code, ch: BecChannel) -> PlrReport:
     """Exact residual PLR by enumerating every erasure pattern.
 
     Independent of the analytic formulas: each pattern is weighted by
-    p_e^e (1-p_e)^(n-e) and a block with fewer than k survivors loses
+    p_e^e (1-p_e)^(n-e) and a part with fewer than its k survivors loses
     exactly its erased source packets.  Only feasible for total n <= 24.
     """
-    if isinstance(code, PartitionSpec):
-        halves = (code.first, code.second)
-        k_norm = code.parent.k
-    else:
-        halves = (code,)
-        k_norm = code.k
-    n_total = sum(h.n for h in halves)
+    parts = code.parts
+    n_total = sum(part.n for part in parts)
     if n_total > BRUTE_FORCE_MAX_N:
         raise ValueError(
             f"total n={n_total} exceeds enumeration bound {BRUTE_FORCE_MAX_N}"
@@ -176,48 +168,45 @@ def brute_force_plr(code, ch: BecChannel) -> PlrReport:
         patterns = np.arange(start, min(start + _CHUNK, 1 << n_total), dtype=np.uint32)
         lost = np.zeros(patterns.shape, dtype=np.int64)
         shift = 0
-        for h in halves:
-            bits = (patterns >> shift) & np.uint32((1 << h.n) - 1)
-            e_half = np.bitwise_count(bits)
-            src_losses = np.bitwise_count(bits & np.uint32((1 << h.k) - 1))
-            lost += np.where(e_half > h.p, src_losses, 0)
-            shift += h.n
+        for part in parts:
+            bits = (patterns >> shift) & np.uint32((1 << part.n) - 1)
+            e_part = np.bitwise_count(bits)
+            src_losses = np.bitwise_count(bits & np.uint32((1 << part.k) - 1))
+            lost += np.where(e_part > part.p, src_losses, 0)
+            shift += part.n
         erasures = np.bitwise_count(patterns)
         expected += float(_pattern_weights(erasures, n_total, ch.p_e) @ lost)
-    return PlrReport(plr=expected / k_norm, method="brute_force")
-
-
-def _draw_masks(rng, trials: int, width: int, p_e: float) -> np.ndarray:
-    masks = np.empty((trials, width), dtype=bool)
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        masks[start:stop] = rng.random((stop - start, width)) < p_e
-    return masks
-
-
-def _distinct_patterns(masks: np.ndarray) -> list:
-    # the erased slot indices of each distinct mask row, whatever its width;
-    # rows are packed to bytes first so the dedup sorts short keys
-    packed = np.unique(np.packbits(masks, axis=1), axis=0)
-    rows = np.unpackbits(packed, axis=1, count=masks.shape[1])
-    return [np.flatnonzero(row).tolist() for row in rows]
+    return PlrReport(plr=expected / sum(part.k for part in parts), method="brute_force")
 
 
 def _random_payloads(rng, count: int, size: int = 4) -> tuple:
     return tuple(rng.integers(0, 256, size, dtype=np.uint8).tobytes() for _ in range(count))
 
 
+def _verify_patterns(part: CodeSpec, packed: np.ndarray, rng) -> None:
+    # decode each packed erasure row of this part once and check the payloads
+    gen = build_generator(part)
+    payloads = _random_payloads(rng, part.k)
+    coded = encode(gen, PacketBlock.source(part, payloads))
+    for row in np.unpackbits(packed, axis=1, count=part.n):
+        idx = np.flatnonzero(row).tolist()
+        if decode(gen, coded.erase(idx)) != list(payloads):
+            raise AssertionError(f"decode of {part} corrupted data for pattern {idx}")
+
+
 def monte_carlo_plr(code, ch: BecChannel, trials: int, seed: int) -> PlrReport:
     """Empirical residual PLR from seeded simulation through the real codec.
 
-    Draws i.i.d. per-packet erasures for every trial in one deterministic
-    block (results do not depend on evaluation order), then decodes each
-    *distinct* recoverable erasure pattern once through the actual
-    encoder/decoder, verifying the recovered payloads; outcomes are weighed
-    by how often each pattern occurred.  Unrecoverable patterns lose
-    exactly their erased source packets, the same set the decoder's error
-    reports (that equivalence is unit-tested); counting those from the
-    mask keeps million-trial runs affordable.
+    Each trial erases each of the code's packets (all parts, in order)
+    independently; the draws come from one seeded generator in fixed
+    chunks of trials, so memory does not grow with the trial count and
+    results do not depend on the chunking.  A part whose erasures exceed
+    its parity loses exactly its erased source packets, the same set the
+    decoder's error reports (that equivalence is unit-tested); counting
+    those from the mask keeps million-trial runs affordable.  Every
+    *distinct* erasure pattern of a part that the part can recover and
+    that hits its sources is decoded once through the actual encoder and
+    decoder, and the recovered payloads are verified.
 
     Reports the mean per-trial loss fraction and the 95%
     normal-approximation half-width of that mean.
@@ -225,58 +214,34 @@ def monte_carlo_plr(code, ch: BecChannel, trials: int, seed: int) -> PlrReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
+    parts = code.parts
+    width = sum(part.n for part in parts)
+    # per part: its distinct recoverable, source-hitting patterns, bit-packed
+    distinct = [np.zeros((0, (part.n + 7) // 8), dtype=np.uint8) for part in parts]
+    lost_sum = lost_squares = 0
+    for start in range(0, trials, _CHUNK):
+        masks = rng.random((min(_CHUNK, trials - start), width)) < ch.p_e
+        lost = np.zeros(len(masks), dtype=np.int64)
+        offset = 0
+        for j, part in enumerate(parts):
+            block = masks[:, offset : offset + part.n]
+            offset += part.n
+            recoverable = block.sum(axis=1) <= part.p
+            sources = block[:, : part.k]
+            lost += np.where(recoverable, 0, sources.sum(axis=1))
+            hit = np.packbits(block[recoverable & sources.any(axis=1)], axis=1)
+            distinct[j] = np.unique(np.concatenate((distinct[j], hit)), axis=0)
+        lost_sum += int(lost.sum())
+        lost_squares += int(lost @ lost)
+    for part, packed in zip(parts, distinct):
+        if len(packed):
+            _verify_patterns(part, packed, rng)
 
-    if isinstance(code, PartitionSpec):
-        n1, k1, p1 = code.first.n, code.first.k, code.first.p
-        n2, k2, p2 = code.second.n, code.second.k, code.second.p
-        k_norm = code.parent.k
-        masks = _draw_masks(rng, trials, n1 + n2, ch.p_e)
-        e1 = masks[:, :n1].sum(axis=1)
-        e2 = masks[:, n1:].sum(axis=1)
-        src_hit = masks[:, :k1].any(axis=1) | masks[:, n1 : n1 + k2].any(axis=1)
-        src_lost = masks[:, :k1].sum(axis=1) * (e1 > p1) + masks[
-            :, n1 : n1 + k2
-        ].sum(axis=1) * (e2 > p2)
-        recoverable = (e1 <= p1) & (e2 <= p2)
-        losses = np.where(recoverable, 0, src_lost).astype(np.float64)
-
-        to_decode = recoverable & src_hit
-        if to_decode.any():
-            gens = half_generators(code)
-            payloads = _random_payloads(rng, k_norm)
-            source = PacketBlock.source(code.parent, payloads)
-            coded = encode_partitioned(code, source, gens)
-            for idx in _distinct_patterns(masks[to_decode]):
-                rx1 = coded[0].erase([i for i in idx if i < n1])
-                rx2 = coded[1].erase([i - n1 for i in idx if i >= n1])
-                recovered = decode_partitioned(code, (rx1, rx2), gens)
-                if recovered != list(payloads):
-                    raise AssertionError(
-                        f"partitioned decode corrupted data for pattern {idx}"
-                    )
-    else:
-        spec = code
-        k_norm = spec.k
-        masks = _draw_masks(rng, trials, spec.n, ch.p_e)
-        e_total = masks.sum(axis=1)
-        recoverable = e_total <= spec.p
-        losses = np.where(recoverable, 0, masks[:, : spec.k].sum(axis=1)).astype(
-            np.float64
-        )
-
-        to_decode = recoverable & masks[:, : spec.k].any(axis=1)
-        if to_decode.any():
-            gen = build_generator(spec)
-            payloads = _random_payloads(rng, spec.k)
-            coded = encode(gen, PacketBlock.source(spec, payloads))
-            for idx in _distinct_patterns(masks[to_decode]):
-                recovered = decode(gen, coded.erase(idx))
-                if recovered != list(payloads):
-                    raise AssertionError(f"decode corrupted data for pattern {idx}")
-
-    fractions = losses / k_norm
-    plr = float(fractions.mean())
-    half_width = (
-        1.96 * float(fractions.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
-    )
+    k_norm = sum(part.k for part in parts)
+    plr = lost_sum / (k_norm * trials)
+    half_width = 0.0
+    if trials > 1:
+        # sample variance of the per-trial lost count, exact in integers
+        variance = (trials * lost_squares - lost_sum**2) / (trials * (trials - 1))
+        half_width = 1.96 * math.sqrt(variance) / k_norm / math.sqrt(trials)
     return PlrReport(plr=plr, method="monte_carlo", trials=trials, half_width=half_width)

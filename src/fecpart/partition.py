@@ -6,6 +6,10 @@ at the price of the halves no longer pooling their parity: a half that
 loses more packets than its own parity count fails even if the other half
 had spares.  Extra "excess" parity packets can be added to buy back the
 lost protection.
+
+A partitioned code's `parts` are its two halves, in source order, as a plain
+code's `parts` are the code itself; encode, decode and generator set-up run
+once per part, each part on its own slice of the parent's source packets.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ class PartitionSpec:
                 f"parent p + excess = {self.parent.p + self.excess}"
             )
 
+    @property
+    def parts(self) -> tuple:
+        """The independently coded halves, in parent source order."""
+        return (self.first, self.second)
+
 
 def split_shape(parent: CodeSpec, excess: int) -> tuple:
     """The (k1, p1, k2, p2) a split would produce, without validating it.
@@ -89,18 +98,7 @@ def split(parent: CodeSpec, excess: int = 0) -> PartitionSpec:
 
 def half_generators(ps: PartitionSpec) -> tuple:
     """Generator matrices for both halves (build once, reuse across blocks)."""
-    return build_generator(ps.first), build_generator(ps.second)
-
-
-def split_source(ps: PartitionSpec, source: PacketBlock) -> tuple:
-    """Split a parent source block into the two half source blocks."""
-    if len(source.packets) != ps.parent.k or None in source.packets:
-        raise ValueError(f"need exactly {ps.parent.k} present source packets")
-    k1 = ps.first.k
-    return (
-        PacketBlock.source(ps.first, source.packets[:k1]),
-        PacketBlock.source(ps.second, source.packets[k1:]),
-    )
+    return tuple(build_generator(part) for part in ps.parts)
 
 
 def encode_partitioned(
@@ -113,9 +111,15 @@ def encode_partitioned(
     when excess is zero.  Pass prebuilt `gens` to amortize generator
     construction across blocks.
     """
-    g1, g2 = gens if gens is not None else half_generators(ps)
-    src1, src2 = split_source(ps, source)
-    return encode(g1, src1), encode(g2, src2)
+    if len(source.packets) != ps.parent.k or None in source.packets:
+        raise ValueError(f"need exactly {ps.parent.k} present source packets")
+    gens = gens if gens is not None else half_generators(ps)
+    coded, offset = [], 0
+    for part, gen in zip(ps.parts, gens, strict=True):
+        packets = source.packets[offset : offset + part.k]
+        coded.append(encode(gen, PacketBlock.source(part, packets)))
+        offset += part.k
+    return tuple(coded)
 
 
 def decode_partitioned(
@@ -126,20 +130,18 @@ def decode_partitioned(
     Each half decodes independently.  If either half is unrecoverable the
     combined UnrecoverableBlockError carries the lost source indices from
     both halves, expressed as parent positions (second-half indices are
-    offset by k1).
+    offset by k1).  Raises ValueError unless `received` (and `gens`, if
+    given) hold exactly one entry per half.
     """
-    g1, g2 = gens if gens is not None else half_generators(ps)
-    rx1, rx2 = received
-    k1 = ps.first.k
-    lost = []
-    results = []
-    for gen, rx, offset in ((g1, rx1, 0), (g2, rx2, k1)):
+    gens = gens if gens is not None else half_generators(ps)
+    recovered, lost, offset = [], [], 0
+    for part, gen, rx in zip(ps.parts, gens, received, strict=True):
         try:
-            results.append(decode(gen, rx))
+            recovered += decode(gen, rx)
         except UnrecoverableBlockError as err:
-            results.append(None)
             lost.extend(offset + i for i in err.lost_source_indices)
+        offset += part.k
     if lost:
-        received_total = len(rx1.present_indices) + len(rx2.present_indices)
+        received_total = sum(len(rx.present_indices) for rx in received)
         raise UnrecoverableBlockError(lost, received_total, ps.parent.k)
-    return results[0] + results[1]
+    return recovered

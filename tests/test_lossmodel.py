@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from fecpart.lossmodel import (
     partitioned_plr,
 )
 from fecpart.partition import split
+
+from fig2_golden import FIG2_K_RANGE, FIG2_PE_VALUES
 
 
 def binomial_fraction(n, e, p_num, p_den):
@@ -197,6 +200,19 @@ def test_partitioned_plr_equals_weighted_half_average():
             + ps.second.k * analytic_plr(ps.second, ch).plr
         ) / parent.k
         assert direct == pytest.approx(weighted, abs=1e-12)
+    # the mean of the convolved distribution is an independent route to the
+    # same PLR; checked over the fig2 grid with excess 0..3
+    for p_e in FIG2_PE_VALUES:
+        ch = BecChannel(p_e)
+        for k in FIG2_K_RANGE:
+            for excess in range(4):
+                ps = split(CodeSpec(k + 5, k), excess)
+                assert math.isclose(
+                    partitioned_loss_pmf(ps, ch).mean / k,
+                    partitioned_plr(ps, ch).plr,
+                    rel_tol=1e-9,
+                    abs_tol=1e-12,
+                ), (p_e, k, excess)
 
 
 def test_brute_force_trivial_channels():
@@ -302,6 +318,54 @@ def test_monte_carlo_verifies_erasures_beyond_slot_63(monkeypatch):
     assert seen
     assert all(any(i < spec.k for i in missing) for missing in seen)
     assert max(max(missing) for missing in seen) >= 64
+
+
+def test_monte_carlo_verifies_each_part_on_its_own(monkeypatch):
+    # a split code is verified part by part: each call decodes one part's
+    # block, each distinct (part, pattern) once, and a part's pattern is
+    # verified even in trials where the other part failed
+    ps = split(CodeSpec(12, 8), excess=1)  # parts C(7, 4) and C(6, 4)
+    seen = []
+    real_decode = lossmodel.decode
+
+    def recording_decode(gen, received):
+        seen.append((received.spec, tuple(received.missing_indices)))
+        assert gen.spec == received.spec and len(received.packets) == gen.spec.n
+        return real_decode(gen, received)
+
+    monkeypatch.setattr(lossmodel, "decode", recording_decode)
+    trials, seed, p_e = 5000, 2, 0.3
+    monte_carlo_plr(ps, BecChannel(p_e), trials, seed)
+    assert seen
+    assert all(spec in ps.parts for spec, _ in seen)
+    assert len(set(seen)) == len(seen)
+
+    # the simulator's draw: one row of n1 + n2 slots per trial, in order
+    first, second = ps.parts
+    masks = np.random.default_rng(seed).random((trials, first.n + second.n)) < p_e
+    ours, other = masks[:, : first.n], masks[:, first.n :]
+    rows = ours[
+        (ours.sum(axis=1) <= first.p)
+        & ours[:, : first.k].any(axis=1)
+        & (other.sum(axis=1) > second.p)
+    ]
+    assert len(rows)
+    verified = {missing for spec, missing in seen if spec == first}
+    assert all(tuple(np.flatnonzero(row).tolist()) in verified for row in rows)
+
+
+def test_monte_carlo_memory_flat_in_trials():
+    # trials are simulated in fixed-size chunks, so four times the trials
+    # must not take four times the memory
+    peaks = []
+    for trials in (1 << 17, 1 << 19):
+        tracemalloc.start()
+        try:
+            monte_carlo_plr(CodeSpec(6, 4), BecChannel(0.05), trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_zero_excess_partition_penalty_sign_observation():

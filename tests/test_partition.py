@@ -189,3 +189,19 @@ def test_encode_partitioned_first_half_gets_leading_packets():
     coded = encode_partitioned(ps, block)
     assert list(coded[0].packets[: ps.first.k]) == payloads[: ps.first.k]
     assert list(coded[1].packets[: ps.second.k]) == payloads[ps.first.k:]
+
+
+def test_partitioned_calls_need_one_entry_per_half():
+    # a short `received` or `gens` must raise, never decode one half alone
+    ps = split(CodeSpec(12, 8))
+    block, _ = source_block(ps, np.random.default_rng(9), size=8)
+    gens = half_generators(ps)
+    coded = encode_partitioned(ps, block, gens)
+    with pytest.raises(ValueError):
+        decode_partitioned(ps, coded[:1], gens)
+    with pytest.raises(ValueError):
+        decode_partitioned(ps, coded + coded[:1], gens)
+    with pytest.raises(ValueError):
+        decode_partitioned(ps, coded, gens[:1])
+    with pytest.raises(ValueError):
+        encode_partitioned(ps, block, gens[:1])
