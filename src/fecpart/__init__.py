@@ -7,7 +7,6 @@ binary erasure channel with brute-force and Monte-Carlo validators, a
 configuration planner, and a timing harness.
 """
 
-from .gf256 import SingularMatrixError, gf_div, gf_inv, gf_mul, gf_pow, mat_invert, mat_mul
 from .codec import (
     CodeSpec,
     GeneratorMatrix,
@@ -15,24 +14,15 @@ from .codec import (
     UnrecoverableBlockError,
     build_generator,
     decode,
-    decoding_matrix,
     encode,
     mac_counter,
 )
-from .partition import (
-    PartitionSpec,
-    decode_partitioned,
-    encode_partitioned,
-    half_generators,
-    split,
-    split_shape,
-)
+from .partition import PartitionSpec, decode_partitioned, encode_partitioned, half_generators, split
 from .lossmodel import (
     BecChannel,
     LossPmf,
     PlrReport,
     analytic_plr,
-    binomial_pmf,
     brute_force_plr,
     loss_pmf,
     monte_carlo_plr,
@@ -48,10 +38,12 @@ from .planner import (
     min_n_for_target,
     plan,
 )
-from .bench import BenchConfig, BenchPoint, bench_decode, bench_encode, bench_invert, run_bench, to_csv
+from .bench import BenchConfig, BenchPoint, run_bench
 
 __version__ = "0.1.0"
 
+# what the demos, README, CLI and benchmark read from the package root, and
+# the types those names return; everything else lives in its own module
 __all__ = [
     "BecChannel",
     "BenchConfig",
@@ -66,30 +58,18 @@ __all__ = [
     "PlanRequest",
     "PlanResult",
     "PlrReport",
-    "SingularMatrixError",
     "UnrecoverableBlockError",
     "analytic_plr",
-    "bench_decode",
-    "bench_encode",
-    "bench_invert",
-    "binomial_pmf",
     "brute_force_plr",
     "build_generator",
     "decode",
     "decode_partitioned",
-    "decoding_matrix",
     "distribute_excess",
     "encode",
     "encode_partitioned",
-    "gf_div",
-    "gf_inv",
-    "gf_mul",
-    "gf_pow",
     "half_generators",
     "loss_pmf",
     "mac_counter",
-    "mat_invert",
-    "mat_mul",
     "min_n_for_target",
     "monte_carlo_plr",
     "partitioned_loss_pmf",
@@ -97,7 +77,5 @@ __all__ = [
     "plan",
     "run_bench",
     "split",
-    "split_shape",
-    "to_csv",
     "__version__",
 ]

@@ -2,12 +2,15 @@
 
 Measures wall time per operation over a sweep of block lengths, reporting
 median and median absolute deviation (scheduler noise on small boards is
-heavy-tailed, so means mislead).  The points of one sweep are timed
-round-robin, so they share the machine's state.  Timed regions cover the
-codec call only: generator construction, payload allocation and RNG all
-happen outside.
+heavy-tailed, so means mislead).  `run_bench` is the one entry point: it
+times every requested (mode, phase, k) point in one round-robin sweep, so
+all points share the machine's state.  Timed regions cover the public codec
+call only (`encode`/`decode` plain, `encode_partitioned`/
+`decode_partitioned` partitioned): generator construction, payload
+allocation and RNG all happen outside.
 Decode is timed in its worst case, with every erasure hitting a source
-packet so the decoder must invert and reconstruct.
+packet so the decoder must invert and reconstruct; the erasures are dealt
+over the code's parts.
 
 The isolated "invert" phase times exactly the matrix-inversion step the
 decoder performs for that worst case (building and inverting the reduced
@@ -34,7 +37,7 @@ from .codec import (
     encode,
 )
 from .gf256 import mat_invert
-from .partition import decode_partitioned, encode_partitioned, half_generators, split
+from .partition import decode_partitioned, encode_partitioned, split
 
 WARMUP_ITERATIONS = 10
 
@@ -124,43 +127,47 @@ def _source_block(cfg: BenchConfig, spec: CodeSpec):
     return PacketBlock.source(spec, _payloads(rng, spec.k, cfg.packet_size))
 
 
-def _encode_call(cfg: BenchConfig, k: int, mode: str):
+def _code(cfg: BenchConfig, k: int, mode: str):
+    # one point's parent code, the code its mode runs, and one generator per part
     spec = CodeSpec(k + cfg.parity, k)
+    code = spec if mode == "plain" else split(spec)
+    return spec, code, tuple(build_generator(part) for part in code.parts)
+
+
+def _encode_call(cfg: BenchConfig, k: int, mode: str):
+    spec, code, gens = _code(cfg, k, mode)
     source = _source_block(cfg, spec)
     if mode == "plain":
-        gen = build_generator(spec)
+        (gen,) = gens
         return lambda: encode(gen, source)
-    ps = split(spec)
-    gens = half_generators(ps)
-    return lambda: encode_partitioned(ps, source, gens)
+    return lambda: encode_partitioned(code, source, gens)
 
 
-def _erase_sources(block, count: int):
-    # worst case for the decoder: every erasure hits a source packet
-    return block.erase(range(count))
+def _worst_case(code, coded: tuple, e: int) -> tuple:
+    # every erasure hits a source packet: the e erasures are dealt over the
+    # parts first part first, part j of m taking (e+m-1-j)//m, capped at its k
+    m = len(code.parts)
+    return tuple(
+        block.erase(range(min((e + m - 1 - j) // m, part.k)))
+        for j, (part, block) in enumerate(zip(code.parts, coded, strict=True))
+    )
 
 
 def _decode_call(cfg: BenchConfig, k: int, mode: str):
-    spec = CodeSpec(k + cfg.parity, k)
+    spec, code, gens = _code(cfg, k, mode)
     source = _source_block(cfg, spec)
-    e = min(cfg.erasures, k)
     if mode == "plain":
-        gen = build_generator(spec)
-        rx = _erase_sources(encode(gen, source), e)
+        (gen,) = gens
+        (rx,) = _worst_case(code, (encode(gen, source),), cfg.erasures)
         return lambda: decode(gen, rx)
-    ps = split(spec)
-    gens = half_generators(ps)
-    coded1, coded2 = encode_partitioned(ps, source, gens)
-    rx1 = _erase_sources(coded1, min((e + 1) // 2, ps.first.k))
-    rx2 = _erase_sources(coded2, min(e // 2, ps.second.k))
-    return lambda: decode_partitioned(ps, (rx1, rx2), gens)
+    received = _worst_case(code, encode_partitioned(code, source, gens), cfg.erasures)
+    return lambda: decode_partitioned(code, received, gens)
 
 
 def _invert_call(cfg: BenchConfig, k: int, mode: str):
     # each part's worst case: as many source erasures as it can repair
-    spec = CodeSpec(k + cfg.parity, k)
-    code = spec if mode == "plain" else split(spec)
-    blocks = [(build_generator(part), range(min(part.p, part.k))) for part in code.parts]
+    _, code, gens = _code(cfg, k, mode)
+    blocks = [(gen, range(min(part.p, part.k))) for part, gen in zip(code.parts, gens)]
 
     def fn():
         for gen, erased in blocks:
@@ -172,57 +179,22 @@ def _invert_call(cfg: BenchConfig, k: int, mode: str):
 _CALLS = {"encode": _encode_call, "decode": _decode_call, "invert": _invert_call}
 
 
-def _sweep(cfg: BenchConfig, modes, phase: str) -> list:
-    # one point per (mode, k), all timed round-robin in one _measure
-    for mode in modes:
-        _check_mode(mode)
-    if phase not in _CALLS:
-        raise ValueError(f"unknown phase {phase!r}")
-    cells = [(mode, k) for mode in modes for k in cfg.k_values]
-    fns = [_CALLS[phase](cfg, k, mode) for mode, k in cells]
-    size = 0 if phase == "invert" else cfg.packet_size
-    return [
-        BenchPoint(k, mode, phase, median, mad, cfg.iterations, size, cfg.parity)
-        for (mode, k), (median, mad) in zip(cells, _measure(fns, cfg.iterations))
-    ]
-
-
-def bench_encode(cfg: BenchConfig, mode: str) -> list:
-    """Encode wall time per k, on fixed seeded payloads."""
-    return _sweep(cfg, (mode,), "encode")
-
-
-def bench_decode(cfg: BenchConfig, mode: str) -> list:
-    """Decode wall time per k with cfg.erasures source packets erased."""
-    return _sweep(cfg, (mode,), "decode")
-
-
-def bench_invert(k: int, iterations: int, parity: int = 8,
-                 mode: str = "plain") -> BenchPoint:
-    """Isolated cost of the decoder's matrix-inversion step at block length k.
-
-    Times building and inverting the reduced decoding matrix for the
-    worst-case erasure pattern (as many source erasures as the code can
-    repair); generator construction stays outside the timed region.  For
-    the partitioned mode both halves' inversions are timed together, since
-    a partitioned decode performs both.
-    """
-    cfg = BenchConfig(k_values=(k,), parity=parity, iterations=iterations)
-    (point,) = _sweep(cfg, (mode,), "invert")
-    return point
-
-
 def run_bench(cfg: BenchConfig, modes=MODES, phases=PHASES) -> list:
-    """Full sweep over the requested modes and phases, in stable order.
+    """Time every requested (mode, phase, k) point in one round-robin sweep.
 
-    All modes of a phase are timed in one round-robin sweep, so the
-    comparison between modes shares the machine's state; points come out
-    ordered by mode, then phase, then k.
+    All points share the machine's state, so ratios between any two of them
+    (partitioned vs plain, invert vs decode) are taken under the same
+    conditions.  Points come out ordered by mode, then phase, then k;
+    invert points report packet_size 0, since inversion touches no payload.
     """
-    points = [pt for phase in phases for pt in _sweep(cfg, modes, phase)]
-    return sorted(points, key=lambda pt: (modes.index(pt.mode), phases.index(pt.phase)))
-
-
-def _check_mode(mode: str):
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    for kind, names, known in (("mode", modes, MODES), ("phase", phases, PHASES)):
+        for name in names:
+            if name not in known:
+                raise ValueError(f"unknown {kind} {name!r}")
+    cells = [(mode, phase, k) for mode in modes for phase in phases for k in cfg.k_values]
+    fns = [_CALLS[phase](cfg, k, mode) for mode, phase, k in cells]
+    return [
+        BenchPoint(k, mode, phase, median, mad, cfg.iterations,
+                   0 if phase == "invert" else cfg.packet_size, cfg.parity)
+        for (mode, phase, k), (median, mad) in zip(cells, _measure(fns, cfg.iterations))
+    ]

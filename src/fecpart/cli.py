@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .bench import BenchConfig, run_bench, to_csv
+from .bench import MODES, PHASES, BenchConfig, run_bench, to_csv
 from .codec import CodeSpec, UnrecoverableBlockError
 from .lossmodel import BecChannel, analytic_plr, monte_carlo_plr, partitioned_plr
 from .partition import PartitionSpec
@@ -158,8 +158,8 @@ def cmd_bench(args) -> int:
         iterations=args.iterations,
         seed=args.seed,
     )
-    modes = ("plain", "partitioned") if args.mode == "both" else (args.mode,)
-    phases = ("encode", "decode", "invert") if args.phase == "all" else (args.phase,)
+    modes = MODES if args.mode == "both" else (args.mode,)
+    phases = PHASES if args.phase == "all" else (args.phase,)
     print(f"benchmarking k={list(k_values)} modes={modes} phases={phases}",
           file=sys.stderr)
     points = run_bench(cfg, modes=modes, phases=phases)
@@ -217,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--parity", type=int, default=8)
     p_bench.add_argument("--packet-size", type=int, default=1500)
     p_bench.add_argument("--iterations", type=int, default=100)
-    p_bench.add_argument("--mode", choices=("plain", "partitioned", "both"),
+    p_bench.add_argument("--mode", choices=(*MODES, "both"),
                          default="both")
-    p_bench.add_argument("--phase", choices=("encode", "decode", "invert", "all"),
+    p_bench.add_argument("--phase", choices=(*PHASES, "all"),
                          default="all")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=cmd_bench)

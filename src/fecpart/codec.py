@@ -221,10 +221,13 @@ def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
     sources only gives the worst case the benchmark isolates, where every
     parity packet survived and the first e parity rows are used.
 
-    Raises ValueError if fewer than k packets survive.
+    Raises ValueError if a slot lies outside 0..n-1 or fewer than k packets
+    survive.
     """
     gone = set(erased)
-    missing = sorted(i for i in gone if 0 <= i < gen.spec.k)
+    if gone and not (0 <= min(gone) and max(gone) < gen.spec.n):
+        raise ValueError(f"erased slots must lie in 0..{gen.spec.n - 1}, got {sorted(gone)}")
+    missing = sorted(i for i in gone if i < gen.spec.k)
     return gen.matrix[_parity_rows(gen, gone, len(missing))][:, missing]
 
 

@@ -10,9 +10,6 @@ from fecpart.bench import (
     CSV_HEADER,
     BenchConfig,
     BenchPoint,
-    bench_decode,
-    bench_encode,
-    bench_invert,
     run_bench,
     to_csv,
     _source_block,
@@ -53,7 +50,7 @@ def test_same_seed_gives_identical_payloads():
 
 def test_bench_encode_points():
     cfg = BenchConfig(k_values=(8, 12), **TINY)
-    points = bench_encode(cfg, "plain")
+    points = run_bench(cfg, modes=("plain",), phases=("encode",))
     assert [pt.k for pt in points] == [8, 12]
     for pt in points:
         assert pt.phase == "encode" and pt.mode == "plain"
@@ -64,29 +61,33 @@ def test_bench_encode_points():
 
 def test_bench_decode_modes():
     cfg = BenchConfig(k_values=(8,), **TINY)
-    for mode in ("plain", "partitioned"):
-        (pt,) = bench_decode(cfg, mode)
-        assert pt.phase == "decode" and pt.mode == mode
+    points = run_bench(cfg, phases=("decode",))
+    assert [pt.mode for pt in points] == ["plain", "partitioned"]
+    for pt in points:
+        assert pt.phase == "decode"
         assert pt.median_ms > 0
 
 
 def test_bench_rejects_unknown_mode():
     cfg = BenchConfig(k_values=(8,), **TINY)
     with pytest.raises(ValueError):
-        bench_encode(cfg, "turbo")
+        run_bench(cfg, modes=("turbo",))
+    with pytest.raises(ValueError):
+        run_bench(cfg, phases=("transcode",))
 
 
 def test_bench_invert_point():
-    pt = bench_invert(8, 10, parity=4)
+    cfg = BenchConfig(k_values=(8,), **TINY)
+    pt, part = run_bench(cfg, phases=("invert",))
     assert pt.phase == "invert" and pt.mode == "plain"
     assert pt.median_ms > 0
     assert pt.packet_size == 0
-    pt = bench_invert(8, 10, parity=4, mode="partitioned")
-    assert pt.mode == "partitioned"
+    assert part.mode == "partitioned" and part.packet_size == 0
 
 
 def test_bench_invert_k_equal_one():
-    pt = bench_invert(1, 10, parity=4)
+    cfg = BenchConfig(k_values=(1,), **TINY)
+    (pt,) = run_bench(cfg, modes=("plain",), phases=("invert",))
     assert pt.median_ms > 0
 
 
@@ -101,22 +102,21 @@ def test_run_bench_grid_size():
 def test_encode_time_linear_in_k():
     # doubling k at fixed parity should double the median, give or take 30%
     cfg = BenchConfig(k_values=(40, 80), parity=8, packet_size=1500, iterations=20)
-    small, large = bench_encode(cfg, "plain")
+    small, large = run_bench(cfg, modes=("plain",), phases=("encode",))
     ratio = large.median_ms / small.median_ms
     assert 1.4 <= ratio <= 2.6, ratio
 
 
 def test_decode_within_twice_encode():
     cfg = BenchConfig(k_values=(50,), parity=8, packet_size=1500, iterations=20)
-    (enc,) = bench_encode(cfg, "plain")
-    (dec,) = bench_decode(cfg, "plain")
+    enc, dec = run_bench(cfg, modes=("plain",), phases=("encode", "decode"))
     assert dec.median_ms <= 2 * enc.median_ms
 
 
 def test_decode_fast_path_is_much_cheaper():
     base = dict(k_values=(50,), parity=8, packet_size=1500, iterations=20)
-    (erased,) = bench_decode(BenchConfig(**base), "plain")
-    (clean,) = bench_decode(BenchConfig(**base, erased=0), "plain")
+    (erased,) = run_bench(BenchConfig(**base), modes=("plain",), phases=("decode",))
+    (clean,) = run_bench(BenchConfig(**base, erased=0), modes=("plain",), phases=("decode",))
     assert clean.median_ms <= 0.5 * erased.median_ms
 
 

@@ -188,6 +188,12 @@ def test_decoding_matrix_shape_and_invertibility():
     mat_invert(b)
     with pytest.raises(ValueError):
         decoding_matrix(gen, range(5))  # more erasures than parity
+    # slots that do not exist are rejected, not dropped
+    small = build_generator(CodeSpec(6, 4))
+    for erased in ([500], [-1], [0, -3], [6]):
+        with pytest.raises(ValueError):
+            decoding_matrix(small, erased)
+    assert decoding_matrix(small, [0, 5]).shape == (1, 1)
 
 
 def test_decode_rejects_source_sized_block():
