@@ -113,6 +113,7 @@ def cmd_simulate(args) -> int:
             "method": "monte_carlo",
             "trials": report.trials,
             "ci95": _sig6(report.half_width),
+            "patterns_verified": report.patterns_verified,
         }
     )
 

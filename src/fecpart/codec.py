@@ -9,8 +9,11 @@ invertible.
 
 Per byte position, encoding costs exactly p*k symbol multiply-accumulates
 and erasure decoding e*k (e = number of lost source packets).  Encoding is
-one GF(256) matrix product (`gf256.mat_mul`) and decoding two; each call
-adds its exact count, p*k or e*k, to the module-level `mac_counter` in one
+one GF(256) matrix product (`gf256.mat_mul`).  Decoding is one erasure
+solve over arrays, `decode_batch`, which recovers a batch of blocks with
+one batched inversion and two batched products per erased-source count;
+`decode` is its one-block case for a PacketBlock.  Each call adds its exact
+count (p*k, or e*k per block) to the module-level `mac_counter` in one
 step, so tests and benchmarks can verify the arithmetic cost rather than
 trust the O() claim.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf256 import gf_pow, mat_invert, mat_mul
+from .gf256 import EXP_TABLE, LOG_TABLE, identity, mat_invert, mat_mul
 
 MAX_CODE_LENGTH = 255  # one codeword symbol per nonzero field element
 
@@ -165,15 +168,14 @@ def build_generator(spec: CodeSpec) -> GeneratorMatrix:
 
     Vandermonde on evaluation points 0..n-1 (any k distinct points give an
     invertible square block), right-multiplied by the inverse of its top
-    k x k block so the prefix becomes the identity.
+    k x k block so the prefix becomes the identity; only the parity rows
+    need the product.
     """
     n, k = spec.n, spec.k
-    vand = np.empty((n, k), dtype=np.uint8)
-    for i in range(n):
-        for j in range(k):
-            vand[i, j] = gf_pow(i, j)
-    top_inv = mat_invert(vand[:k, :k])
-    matrix = mat_mul(vand, top_inv)
+    # i**j = EXP[LOG[i] * j], with 0**0 = 1 and 0**j = 0 for the point 0
+    vand = EXP_TABLE[(LOG_TABLE[:n, None] * np.arange(k)) % 255]
+    vand[0, 1:] = 0
+    matrix = np.concatenate([identity(k), mat_mul(vand[k:], mat_invert(vand[:k]))])
     matrix.setflags(write=False)
     return GeneratorMatrix(spec, matrix)
 
@@ -202,13 +204,16 @@ def encode(gen: GeneratorMatrix, source: PacketBlock) -> PacketBlock:
     )
 
 
-def _parity_rows(gen: GeneratorMatrix, gone: set, e: int) -> list:
-    # the decoder's row choice beyond the surviving (identity) source rows:
-    # the first e surviving parity rows, in ascending index
-    rows = [i for i in range(gen.spec.k, gen.spec.n) if i not in gone][:e]
-    if len(rows) < e:
-        raise ValueError(f"{e} erased sources exceed {len(rows)} surviving parity packets")
-    return rows
+def _select(gen: GeneratorMatrix, erased: np.ndarray, e: int) -> tuple:
+    # for (B, n) erasure masks that each erase e sources and at most p
+    # slots: the decoder's rows beyond the surviving (identity) source rows,
+    # which are the first e surviving parity rows, the erased source columns
+    # and the surviving ones, each as a (B, count) array in ascending order
+    # (stable sorts of the masks put the wanted slots first, in slot order)
+    k = gen.spec.k
+    rows = k + np.argsort(erased[:, k:], axis=1, kind="stable")[:, :e]
+    sources = np.argsort(~erased[:, :k], axis=1, kind="stable")
+    return rows, sources[:, :e], sources[:, e:]
 
 
 def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
@@ -217,34 +222,93 @@ def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
     The decoder solves with the surviving source rows, which are identity
     rows, plus the first e surviving parity rows, so the k x k system
     reduces exactly to this block: those parity rows restricted to the e
-    erased source columns.  `decode` builds its block here; passing erased
-    sources only gives the worst case the benchmark isolates, where every
-    parity packet survived and the first e parity rows are used.
+    erased source columns.  This is the one-pattern case of the selection
+    `decode_batch` makes; passing erased sources only gives the worst case
+    the benchmark isolates, where every parity packet survived and the
+    first e parity rows are used.
 
     Raises ValueError if a slot lies outside 0..n-1 or fewer than k packets
     survive.
     """
+    spec = gen.spec
     gone = set(erased)
-    if gone and not (0 <= min(gone) and max(gone) < gen.spec.n):
-        raise ValueError(f"erased slots must lie in 0..{gen.spec.n - 1}, got {sorted(gone)}")
-    missing = sorted(i for i in gone if i < gen.spec.k)
-    return gen.matrix[_parity_rows(gen, gone, len(missing))][:, missing]
+    if gone and not (0 <= min(gone) and max(gone) < spec.n):
+        raise ValueError(f"erased slots must lie in 0..{spec.n - 1}, got {sorted(gone)}")
+    if len(gone) > spec.p:
+        raise ValueError(f"{len(gone)} erased slots leave fewer than k={spec.k} packets")
+    mask = np.zeros((1, spec.n), dtype=bool)
+    mask[0, list(gone)] = True
+    rows, cols, _ = _select(gen, mask, int(mask[0, : spec.k].sum()))
+    return gen.matrix[rows[0, :, None], cols[0]]
+
+
+def _solve(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray, e: int) -> tuple:
+    # the erasure solve for (B, n, L) blocks that each erase e sources:
+    # their erased source columns, (B, e), and those sources, (B, e, L)
+    rows, cols, kept = _select(gen, erased, e)
+    blocks = mat_invert(gen.matrix[rows[:, :, None], cols[:, None, :]])
+    # rhs_i = y_i - sum over surviving sources s of G[row_i, s] * x_s
+    picked = received[np.arange(len(received))[:, None], np.concatenate([rows, kept], axis=1)]
+    rhs = picked[:, :e] ^ mat_mul(gen.matrix[rows[:, :, None], kept[:, None, :]], picked[:, e:])
+    mac_counter.per_byte += len(received) * e * gen.spec.k
+    return cols, mat_mul(blocks, rhs)
+
+
+def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray) -> np.ndarray:
+    """Recover the sources of B coded blocks at once.
+
+    `received` is a (B, n, L) uint8 array of coded blocks and `erased` the
+    (B, n) boolean mask of their lost slots, which are never read (zero
+    them, so that a solve that read one would show); every block must keep
+    at least k of its n packets.  Returns the (B, k, L) sources.
+
+    The blocks are grouped by e, their number of erased sources.  Each
+    block solves with its surviving source rows, which are identity rows,
+    plus its first e surviving parity rows, so its k x k system reduces to
+    the e x e block of those parity rows on its erased source columns
+    (`decoding_matrix`).  A group inverts all its blocks in one batched
+    Gauss-Jordan and recovers its sources with two batched products: the
+    selected parity minus the surviving sources' share, e*(k-e) MACs per
+    byte, times the inverted blocks, e*e.  A block's recovery costs e*k
+    MACs per byte, and each call adds the sum over its blocks to
+    `mac_counter`.
+    """
+    spec = gen.spec
+    k = spec.k
+    received = np.asarray(received)
+    erased = np.asarray(erased, dtype=bool)
+    if received.dtype != np.uint8 or received.ndim != 3 or received.shape[1] != spec.n:
+        raise ValueError(f"received must be a (B, {spec.n}, L) uint8 array, got "
+                         f"{received.dtype} {received.shape}")
+    if erased.shape != received.shape[:2]:
+        raise ValueError(f"erased must have shape {received.shape[:2]}, got {erased.shape}")
+    if (erased.sum(axis=1) > spec.p).any():
+        raise ValueError(f"a block lost more than the {spec.p} packets {spec} can lose")
+    sources = received[:, :k].copy()
+    counts = erased[:, :k].sum(axis=1)
+    for e in np.unique(counts[counts > 0]).tolist():
+        group = np.flatnonzero(counts == e)
+        cols, lost = _solve(gen, received[group], erased[group], e)
+        sources[group[:, None], cols] = lost
+    return sources
 
 
 def decode(gen: GeneratorMatrix, received: PacketBlock) -> list:
     """Recover the k source packets from any >= k received packets.
 
     If every source packet survived they are returned as-is with no matrix
-    work.  Otherwise the decoder uses k rows (surviving sources, then the
-    first e surviving parity rows) and solves for the missing sources
-    only: because the source rows are identity rows, the k x k submatrix
-    inversion reduces to inverting the e x e block built by
-    `decoding_matrix`.  Two matrix products then recover the sources: the
-    selected parity minus the surviving sources' share (e*(k-e) MACs per
-    byte), times the inverted block (e*e), so e*k MACs per byte in all.
+    work.  Otherwise the block is packed as a batch of one and goes through
+    the erasure solve of `decode_batch`, at e*k MACs per byte (e = number
+    of lost source packets); the surviving sources are returned as the same
+    objects and only the recovered ones are new.
+
+    Raises ValueError if the block is not a coded block of `gen`'s code and
+    UnrecoverableBlockError if fewer than k packets survived.
     """
     spec = gen.spec
     k = spec.k
+    if received.spec != spec:
+        raise ValueError(f"block of {received.spec} given to the decoder of {spec}")
     if len(received.packets) != spec.n:
         raise ValueError(f"decode needs a coded block with {spec.n} slots")
     packets = received.packets
@@ -255,16 +319,14 @@ def decode(gen: GeneratorMatrix, received: PacketBlock) -> list:
     if not missing_src:
         return list(packets[:k])
 
-    surviving = [i for i in range(k) if packets[i] is not None]
-    parity_rows = _parity_rows(gen, set(missing), len(missing_src))
     size = received.packet_size
-    # rhs_i = y_i - sum over surviving sources s of G[row_i, s] * x_s
-    rhs = _stack(packets, parity_rows, size) ^ mat_mul(
-        gen.matrix[parity_rows][:, surviving], _stack(packets, surviving, size)
-    )
-    lost = mat_mul(mat_invert(decoding_matrix(gen, missing)), rhs)
-    mac_counter.per_byte += len(missing_src) * k
-    recovered = iter(lost)
+    zeros = bytes(size)
+    joined = b"".join([zeros if pkt is None else pkt for pkt in packets])
+    block = np.frombuffer(joined, dtype=np.uint8).reshape(1, spec.n, size)
+    erased = np.zeros((1, spec.n), dtype=bool)
+    erased[0, missing] = True
+    _, lost = _solve(gen, block, erased, len(missing_src))
+    recovered = iter(lost[0])
     return [
         pkt if pkt is not None else next(recovered).tobytes() for pkt in packets[:k]
     ]

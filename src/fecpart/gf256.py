@@ -1,11 +1,12 @@
 """Arithmetic and dense linear algebra over GF(2^8).
 
 Field elements are plain ints in 0..255 (or uint8 numpy arrays for bulk
-work); matrices are 2-D uint8 numpy arrays.  Multiplication uses log/antilog
+work); matrices are 2-D uint8 numpy arrays, and `mat_mul` and `mat_invert`
+also take a batch of them as one 3-D array.  Multiplication uses log/antilog
 tables built once at import for the reduction polynomial x^8+x^4+x^3+x^2+1
 (0x11D), plus a full 256x256 product table so that a matrix product is a table
 gather: `mat_mul` is the one bulk product, used by the generator
-construction and by the codec's encoder and decoder.
+construction and by the codec's encoder and batched decoder.
 
 Everything here is pure and operates on immutable tables, so concurrent use
 is safe.
@@ -50,6 +51,7 @@ LOG_TABLE.setflags(write=False)
 MUL_TABLE.setflags(write=False)
 INV_TABLE.setflags(write=False)
 _FLAT_MUL = MUL_TABLE.ravel()
+_INV_INDEX = INV_TABLE.astype(np.intp)  # as an index array, it needs no cast
 # intp entries per mat_mul gather block: 64 KiB of indices
 _GATHER_INDICES = 1 << 13
 
@@ -89,60 +91,97 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.uint8)
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix-matrix product over GF(256).
+def _batched(x: np.ndarray) -> np.ndarray:
+    # a 2-D matrix as a batch of one; a 3-D batch as it is
+    return x[None] if x.ndim == 2 else x
 
-    Row i of the result XORs together the rows of `b`, each multiplied by
-    its coefficient in row i of `a`: one gather from the flat product table
-    per row of `a` and column block of `b`, so the work is one table lookup
-    per multiply-accumulate.  Column blocks are sized so the gather's index
-    block (inner dimension x block width) stays cache-resident.
+
+def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix-matrix product over GF(256), of two matrices or two batches.
+
+    `a` and `b` are both 2-D, or both 3-D with the same leading batch
+    length, in which case item i of the result is a[i] times b[i].  Row r of
+    a product XORs together the rows of `b`, each multiplied by its
+    coefficient in row r of `a`: one gather from the flat product table per
+    row of `a` and block of `b`, so the work is one table lookup per
+    multiply-accumulate.  A block spans some batch items and some columns,
+    sized so the gather's index block (items x inner dimension x columns)
+    stays within 64 KiB and cache-resident: temporary memory does not grow
+    with the batch or the column count.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (
+        a.ndim not in (2, 3)
+        or b.ndim != a.ndim
+        or a.shape[:-2] != b.shape[:-2]
+        or a.shape[-1] != b.shape[-2]
+    ):
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    if b.shape[0] == 0:
+    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.uint8)
+    inner, columns = b.shape[-2:]
+    if inner == 0 or columns == 0:
         return out
-    # a[i, j] << 8 | b[j, c] indexes MUL_TABLE[a[i, j], b[j, c]] in the flat table
-    row_offsets = (a.astype(np.intp) << 8)[:, :, None]
-    width = max(1, _GATHER_INDICES // b.shape[0])
-    for lo in range(0, b.shape[1], width):
-        cols = b[:, lo : lo + width]
-        for offsets, dest in zip(row_offsets, out[:, lo : lo + width]):
-            np.bitwise_xor.reduce(_FLAT_MUL.take(offsets + cols), axis=0, out=dest)
+    a3, b3, out3 = _batched(a), _batched(b), _batched(out)
+    width = min(columns, max(1, _GATHER_INDICES // inner))
+    items = max(1, _GATHER_INDICES // (inner * width))
+    for lo in range(0, len(a3), items):
+        # a[i, r, j] << 8 | b[i, j, c] indexes MUL_TABLE[a[i, r, j], b[i, j, c]];
+        # inner dimension first, so each gather is XOR-reduced over axis 0
+        offsets = (a3[lo : lo + items].astype(np.intp) << 8).transpose(1, 2, 0)[..., None]
+        for c in range(0, columns, width):
+            block = b3[lo : lo + items, :, c : c + width].transpose(1, 0, 2)
+            dest = out3[lo : lo + items, :, c : c + width].transpose(1, 0, 2)
+            for row_offsets, row_dest in zip(offsets, dest):
+                np.bitwise_xor.reduce(_FLAT_MUL.take(row_offsets + block), axis=0, out=row_dest)
     return out
 
 
 def mat_invert(m: np.ndarray) -> np.ndarray:
-    """Invert a square matrix by Gauss-Jordan elimination.
+    """Invert a square matrix, or each of a batch of them, by Gauss-Jordan.
 
-    Pivots on the diagonal element when it is nonzero and otherwise on the
-    first nonzero element below it (exact arithmetic, so any nonzero pivot
-    is as good as any other).  Each column is cleared from every row in one
-    table gather: the matrices inverted here (the decoder's e x e block, a
-    Vandermonde block) are dense, so selecting rows would save nothing.
+    `m` is n x n or B x n x n.  Each matrix pivots on its diagonal element
+    when that is nonzero and otherwise on the first nonzero element below
+    it (exact arithmetic, so any nonzero pivot is as good as any other).
+    Each column is cleared for the whole batch in one table gather, over
+    only the rows where some matrix has a nonzero entry in that column: a
+    dense block (the decoder's e x e block) clears every row, and a
+    submatrix of a systematic generator, mostly identity rows, clears few.
 
-    Raises SingularMatrixError if the matrix has no inverse.
+    Raises SingularMatrixError if a matrix has no inverse.
     """
     m = np.asarray(m, dtype=np.uint8)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix is not square: {m.shape}")
-    n = m.shape[0]
-    aug = np.concatenate([m, identity(n)], axis=1)
+    batch = _batched(m)
+    count, n = batch.shape[:2]
+    aug = np.zeros((count, n, 2 * n), dtype=np.uint8)
+    aug[:, :, :n] = batch
+    aug.reshape(count, -1)[:, n :: 2 * n + 1] = 1  # the identity: entries (i, n + i)
     for col in range(n):
-        pivot = aug[col, col]
-        if not pivot:
-            below = np.flatnonzero(aug[col:, col])
-            if below.size == 0:
-                raise SingularMatrixError(f"matrix is singular at column {col}")
-            piv = col + int(below[0])
-            aug[[col, piv]] = aug[[piv, col]]
-            pivot = aug[col, col]
-        row = MUL_TABLE[INV_TABLE[pivot], aug[col]]
-        # row has a 1 in this column, so this zeroes the column in every
-        # row, the pivot row included, which then takes the scaled row
-        aug ^= MUL_TABLE[aug[:, col, None], row]
-        aug[col] = row
-    return aug[:, n:].copy()
+        factors = aug[:, :, col]  # views: they follow the row swaps below
+        pivots = factors[:, col]
+        dense = np.count_nonzero(factors) == factors.size
+        if not dense and np.count_nonzero(pivots) < count:
+            below = aug[:, col:, col] != 0
+            stuck = np.flatnonzero(~below.any(axis=1))
+            if stuck.size:
+                where = f" (batch item {stuck[0]})" if m.ndim == 3 else ""
+                raise SingularMatrixError(f"matrix is singular at column {col}{where}")
+            piv = col + below.argmax(axis=1)
+            moved = np.flatnonzero(piv != col)
+            rows = (moved, piv[moved])
+            aug[rows], aug[moved, col] = aug[moved, col], aug[rows]
+        # the scaled pivot rows have a 1 in this column, so clearing it from
+        # the rows where some matrix has a nonzero entry (every row when no
+        # entry is zero) zeroes the pivot row too, which then takes the
+        # scaled row
+        row = MUL_TABLE[_INV_INDEX[pivots][:, None], aug[:, col]]
+        if dense:
+            aug ^= MUL_TABLE[factors[..., None], row[:, None]]
+        else:
+            hit = np.flatnonzero(factors.any(axis=0))
+            aug[:, hit] ^= MUL_TABLE[factors[:, hit, None], row[:, None]]
+        aug[:, col] = row
+    inverse = aug[:, :, n:]
+    return (inverse if m.ndim == 3 else inverse[0]).copy()

@@ -114,6 +114,18 @@ def test_simulate_zero_channel(capsys):
     assert payload["plr"] == 0.0
     assert payload["method"] == "monte_carlo"
     assert payload["trials"] == 1000
+    assert payload["patterns_verified"] == 0
+
+
+def test_simulate_reports_patterns_verified(capsys):
+    code, out, _ = run(capsys, "simulate", "--n", "44", "--k", "40", "--pe", "0.1",
+                       "--trials", "2000", "--seed", "4")
+    assert code == 0
+    from fecpart.codec import CodeSpec
+    from fecpart.lossmodel import BecChannel, monte_carlo_plr
+
+    expected = monte_carlo_plr(CodeSpec(44, 40), BecChannel(0.1), 2000, 4).patterns_verified
+    assert json.loads(out)["patterns_verified"] == expected > 0
 
 
 def test_simulate_deterministic_per_seed(capsys):

@@ -12,11 +12,12 @@ from fecpart.codec import (
     UnrecoverableBlockError,
     build_generator,
     decode,
+    decode_batch,
     decoding_matrix,
     encode,
     mac_counter,
 )
-from fecpart.gf256 import SingularMatrixError, gf_mul, identity, mat_invert
+from fecpart.gf256 import SingularMatrixError, gf_mul, gf_pow, identity, mat_invert, mat_mul
 
 
 def random_payloads(rng, k, size=64):
@@ -44,6 +45,18 @@ def test_generator_deterministic():
     a = build_generator(CodeSpec(9, 5)).matrix
     b = build_generator(CodeSpec(9, 5)).matrix
     assert np.array_equal(a, b)
+
+
+def test_generator_matches_gf_pow_definition():
+    # the generator is the Vandermonde matrix of i**j (gf_pow, 0**0 = 1)
+    # times the inverse of its top k x k block, bit for bit
+    specs = [CodeSpec(n, k) for n in range(2, 13) for k in range(1, n)]
+    for spec in specs + [CodeSpec(108, 100), CodeSpec(255, 200)]:
+        vand = np.array(
+            [[gf_pow(i, j) for j in range(spec.k)] for i in range(spec.n)], dtype=np.uint8
+        )
+        expected = mat_mul(vand, mat_invert(vand[: spec.k]))
+        assert np.array_equal(build_generator(spec).matrix, expected), spec
 
 
 def test_generator_all_submatrices_invertible():
@@ -214,3 +227,76 @@ def test_roundtrip_medium_code_random_patterns():
         count = int(rng.integers(0, spec.p + 1))
         pattern = rng.choice(spec.n, size=count, replace=False)
         assert decode(gen, block.erase(pattern.tolist())) == payloads
+
+
+def test_decode_rejects_block_of_another_code():
+    # a C(10,8) block has n=10 slots like C(10,6), but it is not its code
+    gen = build_generator(CodeSpec(10, 6))
+    other = CodeSpec(10, 8)
+    payloads = random_payloads(np.random.default_rng(12), 8)
+    block = encode(build_generator(other), PacketBlock.source(other, payloads))
+    with pytest.raises(ValueError):
+        decode(gen, block.erase([0]))
+    with pytest.raises(ValueError):
+        decode(gen, block)
+
+
+def coded_array(gen, payloads):
+    block = encode(gen, PacketBlock.source(gen.spec, payloads))
+    return np.frombuffer(b"".join(block.packets), dtype=np.uint8).reshape(gen.spec.n, -1)
+
+
+def test_decode_batch_matches_decode_per_block():
+    # every pattern of up to p erasures of C(9, 5), as one batch that
+    # mixes erased-source counts e = 0..4
+    spec = CodeSpec(9, 5)
+    gen = build_generator(spec)
+    payloads = random_payloads(np.random.default_rng(14), spec.k, size=6)
+    coded = coded_array(gen, payloads)
+    block = encode(gen, PacketBlock.source(spec, payloads))
+    patterns = [p for e in range(spec.p + 1) for p in itertools.combinations(range(spec.n), e)]
+    erased = np.zeros((len(patterns), spec.n), dtype=bool)
+    for row, pattern in zip(erased, patterns):
+        row[list(pattern)] = True
+    received = np.where(erased[:, :, None], np.uint8(0), coded)
+    mac_counter.reset()
+    sources = decode_batch(gen, received, erased)
+    assert mac_counter.per_byte == spec.k * int(erased[:, : spec.k].sum())
+    assert sources.shape == (len(patterns), spec.k, 6)
+    assert np.array_equal(sources, np.broadcast_to(coded[: spec.k], sources.shape))
+    for pattern, got in zip(patterns, sources):
+        assert [row.tobytes() for row in got] == decode(gen, block.erase(pattern))
+    # the erased slots are never read
+    garbage = np.where(erased[:, :, None], np.uint8(0xA5), coded)
+    assert np.array_equal(decode_batch(gen, garbage, erased), sources)
+
+
+def test_decode_batch_checks_shapes_and_code():
+    spec = CodeSpec(6, 4)
+    gen = build_generator(spec)
+    coded = coded_array(gen, random_payloads(np.random.default_rng(15), spec.k, size=3))
+    received = np.stack([coded, coded])
+    erased = np.zeros((2, spec.n), dtype=bool)
+    assert decode_batch(gen, received, erased).shape == (2, spec.k, 3)
+    other = build_generator(CodeSpec(7, 4))
+    bad = [
+        (other, received, erased),  # blocks of another code
+        (gen, received[:, :5], erased[:, :5]),  # too few slots
+        (gen, received[0], erased[0]),  # not a batch
+        (gen, received.astype(np.int64), erased),  # not bytes
+        (gen, received, erased[:1]),  # mask of another batch
+        (gen, received, np.ones((2, spec.n), dtype=bool)),  # more than p erased
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            decode_batch(*args)
+
+
+def test_decoding_matrix_uses_first_surviving_parity_rows():
+    # the decoder's rule: the first e surviving parity rows, in slot order,
+    # on the erased source columns
+    gen = build_generator(CodeSpec(12, 8))
+    m = gen.matrix
+    assert np.array_equal(decoding_matrix(gen, [6, 1, 4]), m[[8, 9, 10]][:, [1, 4, 6]])
+    assert np.array_equal(decoding_matrix(gen, [0, 8, 10]), m[[9]][:, [0]])
+    assert np.array_equal(decoding_matrix(gen, [2, 3, 9]), m[[8, 10]][:, [2, 3]])

@@ -203,3 +203,69 @@ def test_mat_invert_involution_up_to_16():
 def test_mat_invert_rejects_non_square():
     with pytest.raises(ValueError):
         mat_invert(np.zeros((2, 3), np.uint8))
+
+
+def test_mat_mul_batch_matches_each_item():
+    # a 3-D product is the 2-D product of each item, also where the index
+    # blocks split the batch (small L) or the columns (large L)
+    rng = np.random.default_rng(19)
+    for count, rows, inner, cols in [(1, 3, 97, 1500), (300, 4, 40, 4), (5, 2, 9, 3), (7, 8, 100, 90)]:
+        a = rng.integers(0, 256, (count, rows, inner), dtype=np.uint8)
+        b = rng.integers(0, 256, (count, inner, cols), dtype=np.uint8)
+        out = mat_mul(a, b)
+        assert out.shape == (count, rows, cols)
+        for item in range(count):
+            assert np.array_equal(out[item], mat_mul(a[item], b[item]))
+    a = rng.integers(0, 256, (3, 2, 5), dtype=np.uint8)
+    b = rng.integers(0, 256, (3, 5, 4), dtype=np.uint8)
+    assert np.array_equal(mat_mul(a, b)[1], reference_mat_mul(a[1], b[1]))
+    assert mat_mul(np.zeros((0, 2, 3), np.uint8), np.zeros((0, 3, 4), np.uint8)).shape == (0, 2, 4)
+
+
+def test_mat_mul_batch_shape_mismatch():
+    for a, b in [((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 3, 5))]:
+        with pytest.raises(ValueError):
+            mat_mul(np.zeros(a, np.uint8), np.zeros(b, np.uint8))
+
+
+def test_mat_invert_batch_matches_each_item():
+    # items that need row swaps (sparse) next to dense ones, in one batch
+    rng = np.random.default_rng(23)
+    dense = rng.integers(0, 256, (40, 6, 6), dtype=np.uint8)
+    sparse = rng.integers(0, 4, (40, 6, 6), dtype=np.uint8) * (rng.random((40, 6, 6)) < 0.4)
+    batch = []
+    for m in np.concatenate([dense, sparse]):
+        try:
+            mat_invert(m)
+        except SingularMatrixError:
+            continue
+        batch.append(m)
+    batch = np.stack(batch)
+    assert len(batch) > 40
+    inverses = mat_invert(batch)
+    for m, inv in zip(batch, inverses):
+        assert np.array_equal(inv, mat_invert(m))
+        assert np.array_equal(mat_mul(m, inv), identity(6))
+
+
+def test_mat_invert_batch_names_a_singular_item():
+    batch = np.stack([identity(3), np.array([[1, 2, 3], [4, 5, 6], [1, 2, 3]], np.uint8)])
+    with pytest.raises(SingularMatrixError, match="batch item 1"):
+        mat_invert(batch)
+    with pytest.raises(ValueError):
+        mat_invert(np.zeros((2, 2, 3), np.uint8))
+
+
+def test_mat_invert_identity_heavy_submatrix():
+    # a k-row submatrix of a systematic generator, mostly identity rows:
+    # only the rows nonzero in a pivot column are cleared, and the inverse
+    # still multiplies back to the identity
+    from fecpart.codec import CodeSpec, build_generator
+
+    gen = build_generator(CodeSpec(60, 40))
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        m = gen.matrix[np.sort(rng.choice(60, 40, replace=False))]
+        inv = mat_invert(m)
+        assert np.array_equal(mat_mul(m, inv), identity(40))
+        assert np.array_equal(mat_mul(inv, m), identity(40))

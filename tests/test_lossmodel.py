@@ -302,38 +302,38 @@ def test_monte_carlo_rejects_bad_trials():
         monte_carlo_plr(CodeSpec(6, 4), BecChannel(0.1), trials=0, seed=1)
 
 
+def record_solves(monkeypatch, seen):
+    # route the validator's batched solves through a recorder: each solved
+    # pattern appends (part spec, erased slots) to `seen`
+    real_decode_batch = lossmodel.decode_batch
+
+    def recording_decode_batch(gen, received, erased):
+        assert received.shape[:2] == erased.shape == (len(erased), gen.spec.n)
+        seen.extend((gen.spec, tuple(np.flatnonzero(row).tolist())) for row in erased)
+        return real_decode_batch(gen, received, erased)
+
+    monkeypatch.setattr(lossmodel, "decode_batch", recording_decode_batch)
+
+
 def test_monte_carlo_verifies_erasures_beyond_slot_63(monkeypatch):
     # every pattern handed to the codec must carry all of its erasures,
     # including those at slots >= 64 of a code longer than 64 packets
     seen = []
-    real_decode = lossmodel.decode
-
-    def recording_decode(gen, received):
-        seen.append(received.missing_indices)
-        return real_decode(gen, received)
-
-    monkeypatch.setattr(lossmodel, "decode", recording_decode)
+    record_solves(monkeypatch, seen)
     spec = CodeSpec(100, 90)
     monte_carlo_plr(spec, BecChannel(0.05), 2000, 1)
     assert seen
-    assert all(any(i < spec.k for i in missing) for missing in seen)
-    assert max(max(missing) for missing in seen) >= 64
+    assert all(any(i < spec.k for i in missing) for _, missing in seen)
+    assert max(max(missing) for _, missing in seen) >= 64
 
 
 def test_monte_carlo_verifies_each_part_on_its_own(monkeypatch):
-    # a split code is verified part by part: each call decodes one part's
-    # block, each distinct (part, pattern) once, and a part's pattern is
+    # a split code is verified part by part: each solve gets one part's
+    # blocks, each distinct (part, pattern) once, and a part's pattern is
     # verified even in trials where the other part failed
     ps = split(CodeSpec(12, 8), excess=1)  # parts C(7, 4) and C(6, 4)
     seen = []
-    real_decode = lossmodel.decode
-
-    def recording_decode(gen, received):
-        seen.append((received.spec, tuple(received.missing_indices)))
-        assert gen.spec == received.spec and len(received.packets) == gen.spec.n
-        return real_decode(gen, received)
-
-    monkeypatch.setattr(lossmodel, "decode", recording_decode)
+    record_solves(monkeypatch, seen)
     trials, seed, p_e = 5000, 2, 0.3
     monte_carlo_plr(ps, BecChannel(p_e), trials, seed)
     assert seen
@@ -352,6 +352,59 @@ def test_monte_carlo_verifies_each_part_on_its_own(monkeypatch):
     assert len(rows)
     verified = {missing for spec, missing in seen if spec == first}
     assert all(tuple(np.flatnonzero(row).tolist()) in verified for row in rows)
+
+
+def test_monte_carlo_fails_on_one_corrupted_byte(monkeypatch):
+    # the batched check can fail: one flipped byte in one recovered block
+    # of one solve must raise
+    real_decode_batch = lossmodel.decode_batch
+
+    def corrupting_decode_batch(gen, received, erased):
+        sources = real_decode_batch(gen, received, erased)
+        block, slot = len(sources) // 2, int(np.flatnonzero(erased[len(sources) // 2])[0])
+        sources[block, slot, 1] ^= 0x40
+        return sources
+
+    monkeypatch.setattr(lossmodel, "decode_batch", corrupting_decode_batch)
+    with pytest.raises(AssertionError, match="corrupted"):
+        monte_carlo_plr(CodeSpec(44, 40), BecChannel(0.1), 2000, 5)
+
+
+def test_monte_carlo_checks_the_packet_path(monkeypatch):
+    # one pattern per part also goes through `decode`; a corrupted packet
+    # there must raise as well
+    real_decode = lossmodel.decode
+
+    def corrupting_decode(gen, received):
+        packets = real_decode(gen, received)
+        return [bytes([packets[0][0] ^ 1]) + packets[0][1:]] + packets[1:]
+
+    monkeypatch.setattr(lossmodel, "decode", corrupting_decode)
+    with pytest.raises(AssertionError, match="corrupted"):
+        monte_carlo_plr(split(CodeSpec(12, 8), excess=1), BecChannel(0.3), 500, 2)
+
+
+def test_monte_carlo_counts_the_patterns_it_verified():
+    # patterns_verified is the number of distinct (part, pattern) pairs a
+    # part can recover that hit its sources, recomputed from the same draw
+    for code, p_e, trials, seed in (
+        (CodeSpec(44, 40), 0.1, 3000, 8),
+        (split(CodeSpec(12, 8), excess=1), 0.3, 5000, 2),
+        (CodeSpec(100, 90), 0.05, 2000, 1),
+    ):
+        width = sum(part.n for part in code.parts)
+        masks = np.random.default_rng(seed).random((trials, width)) < p_e
+        expected, offset = 0, 0
+        for part in code.parts:
+            block = masks[:, offset : offset + part.n]
+            offset += part.n
+            keep = (block.sum(axis=1) <= part.p) & block[:, : part.k].any(axis=1)
+            expected += len({tuple(row) for row in block[keep]})
+        report = monte_carlo_plr(code, BecChannel(p_e), trials, seed)
+        assert expected > 0
+        assert report.patterns_verified == expected
+    assert analytic_plr(CodeSpec(6, 4), BecChannel(0.1)).patterns_verified is None
+    assert brute_force_plr(CodeSpec(6, 4), BecChannel(0.1)).patterns_verified is None
 
 
 def test_monte_carlo_memory_flat_in_trials():
