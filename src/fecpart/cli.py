@@ -114,6 +114,7 @@ def cmd_simulate(args) -> int:
             "trials": report.trials,
             "ci95": _sig6(report.half_width),
             "patterns_verified": report.patterns_verified,
+            "patterns_total": report.patterns_total,
         }
     )
 

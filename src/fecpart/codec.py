@@ -5,7 +5,10 @@ sources verbatim plus p = n - k parity packets); any k received packets
 reconstruct the sources.  The generator is a Vandermonde matrix on points
 0..n-1 normalized so its top k x k block is the identity, the standard
 construction for packet FEC, which makes every k x k row-submatrix
-invertible.
+invertible.  Row i of the normalized matrix evaluates at point i the
+polynomial that interpolates the sources at points 0..k-1, so the parity
+rows are the Lagrange basis values G[i, j] = prod over m < k, m != j of
+(i ^ m) / (j ^ m), which `build_generator` computes in closed form.
 
 Per byte position, encoding costs exactly p*k symbol multiply-accumulates
 and erasure decoding e*k (e = number of lost source packets).  Encoding is
@@ -20,6 +23,7 @@ trust the O() claim.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +79,10 @@ class CodeSpec:
     k: int
 
     def __post_init__(self):
+        # integers only (numpy ints too, stored as int): a float size raises
+        # TypeError here rather than building a code of fractional length
+        for name in ("n", "k"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not 1 <= self.k < self.n:
             raise ValueError(f"need 1 <= k < n, got n={self.n} k={self.k}")
         if self.n > MAX_CODE_LENGTH:
@@ -164,18 +172,31 @@ class PacketBlock:
 
 
 def build_generator(spec: CodeSpec) -> GeneratorMatrix:
-    """Deterministic systematic MDS generator for `spec`.
+    """Deterministic systematic MDS generator for `spec`, in closed form.
 
-    Vandermonde on evaluation points 0..n-1 (any k distinct points give an
-    invertible square block), right-multiplied by the inverse of its top
-    k x k block so the prefix becomes the identity; only the parity rows
-    need the product.
+    The matrix is V * V_top^-1, with V the Vandermonde matrix on the
+    evaluation points 0..n-1 (any k distinct points give an invertible
+    square block) and V_top its top k x k block, so the prefix is the
+    identity.  Row i of that product evaluates at point i the polynomial of
+    degree < k that takes the source values at points 0..k-1, so a parity
+    row holds the Lagrange basis values at i:
+
+        G[i, j] = prod over m < k, m != j of (i ^ m) / (j ^ m)
+
+    for i in k..n-1 and j in 0..k-1 (a difference of two points is their
+    XOR in GF(2^8)).  In logs that is EXP[S_i - LOG[i ^ j] - T_j], with S_i
+    the sum of LOG[i ^ m] over all m < k and T_j that of LOG[j ^ m] over
+    m != j: one p x k and one k x k log-table gather and two row sums, with
+    no inversion and no matrix product.
     """
     n, k = spec.n, spec.k
-    # i**j = EXP[LOG[i] * j], with 0**0 = 1 and 0**j = 0 for the point 0
-    vand = EXP_TABLE[(LOG_TABLE[:n, None] * np.arange(k)) % 255]
-    vand[0, 1:] = 0
-    matrix = np.concatenate([identity(k), mat_mul(vand[k:], mat_invert(vand[:k]))])
+    points = np.arange(k)
+    # i ^ m is never 0 for a parity point i; LOG[j ^ j] = LOG[0] = 0, so the
+    # k x k row sums skip m = j by themselves
+    num = LOG_TABLE[np.arange(k, n)[:, None] ^ points]
+    den = LOG_TABLE[points[:, None] ^ points].sum(axis=1)
+    parity = EXP_TABLE[(num.sum(axis=1)[:, None] - num - den) % 255]
+    matrix = np.concatenate([identity(k), parity])
     matrix.setflags(write=False)
     return GeneratorMatrix(spec, matrix)
 

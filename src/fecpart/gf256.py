@@ -5,8 +5,9 @@ work); matrices are 2-D uint8 numpy arrays, and `mat_mul` and `mat_invert`
 also take a batch of them as one 3-D array.  Multiplication uses log/antilog
 tables built once at import for the reduction polynomial x^8+x^4+x^3+x^2+1
 (0x11D), plus a full 256x256 product table so that a matrix product is a table
-gather: `mat_mul` is the one bulk product, used by the generator
-construction and by the codec's encoder and batched decoder.
+gather: `mat_mul` is the one bulk product, used by the codec's encoder and
+batched decoder (the generator is built in closed form from the log and
+antilog tables, with no product or inversion).
 
 Everything here is pure and operates on immutable tables, so concurrent use
 is safe.
@@ -79,10 +80,12 @@ def gf_div(a: int, b: int) -> int:
 
 
 def gf_pow(a: int, e: int) -> int:
-    """a**e with the convention 0**0 = 1."""
+    """a**e with the convention 0**0 = 1; 0 has no negative powers."""
     if e == 0:
         return 1
     if a == 0:
+        if e < 0:
+            raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
         return 0
     return int(EXP_TABLE[(LOG_TABLE[a] * e) % 255])
 

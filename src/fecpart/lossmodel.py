@@ -84,6 +84,9 @@ class PlrReport:
     half_width: float | None = None  # 95% CI half-width (monte_carlo only)
     # distinct erasure patterns decoded and checked (monte_carlo only)
     patterns_verified: int | None = None
+    # part-trials whose pattern was recoverable and hit the part's sources,
+    # before dedup (monte_carlo only): patterns_verified of them were decoded
+    patterns_total: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.plr <= 1.0:
@@ -185,7 +188,7 @@ def brute_force_plr(code, ch: BecChannel) -> PlrReport:
 
 
 def _random_payloads(rng, count: int, size: int = 4) -> tuple:
-    return tuple(rng.integers(0, 256, size, dtype=np.uint8).tobytes() for _ in range(count))
+    return tuple(row.tobytes() for row in rng.integers(0, 256, (count, size), dtype=np.uint8))
 
 
 def _verify_patterns(part: CodeSpec, packed: np.ndarray, rng) -> None:
@@ -228,8 +231,8 @@ def monte_carlo_plr(code, ch: BecChannel, trials: int, seed: int) -> PlrReport:
     are verified.
 
     Reports the mean per-trial loss fraction, the 95%
-    normal-approximation half-width of that mean and the number of
-    distinct patterns verified.
+    normal-approximation half-width of that mean, the number of distinct
+    patterns verified and the number of part-trials they stand for.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -238,7 +241,7 @@ def monte_carlo_plr(code, ch: BecChannel, trials: int, seed: int) -> PlrReport:
     width = sum(part.n for part in parts)
     # per part: its distinct recoverable, source-hitting patterns, bit-packed
     distinct = [np.zeros((0, (part.n + 7) // 8), dtype=np.uint8) for part in parts]
-    lost_sum = lost_squares = 0
+    lost_sum = lost_squares = hits = 0
     for start in range(0, trials, _CHUNK):
         masks = rng.random((min(_CHUNK, trials - start), width)) < ch.p_e
         lost = np.zeros(len(masks), dtype=np.int64)
@@ -250,6 +253,7 @@ def monte_carlo_plr(code, ch: BecChannel, trials: int, seed: int) -> PlrReport:
             sources = block[:, : part.k]
             lost += np.where(recoverable, 0, sources.sum(axis=1))
             hit = np.packbits(block[recoverable & sources.any(axis=1)], axis=1)
+            hits += len(hit)
             distinct[j] = np.unique(np.concatenate((distinct[j], hit)), axis=0)
         lost_sum += int(lost.sum())
         lost_squares += int(lost @ lost)
@@ -270,4 +274,5 @@ def monte_carlo_plr(code, ch: BecChannel, trials: int, seed: int) -> PlrReport:
         trials=trials,
         half_width=half_width,
         patterns_verified=sum(map(len, distinct)),
+        patterns_total=hits,
     )

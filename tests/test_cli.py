@@ -114,7 +114,7 @@ def test_simulate_zero_channel(capsys):
     assert payload["plr"] == 0.0
     assert payload["method"] == "monte_carlo"
     assert payload["trials"] == 1000
-    assert payload["patterns_verified"] == 0
+    assert payload["patterns_verified"] == payload["patterns_total"] == 0
 
 
 def test_simulate_reports_patterns_verified(capsys):
@@ -124,8 +124,10 @@ def test_simulate_reports_patterns_verified(capsys):
     from fecpart.codec import CodeSpec
     from fecpart.lossmodel import BecChannel, monte_carlo_plr
 
-    expected = monte_carlo_plr(CodeSpec(44, 40), BecChannel(0.1), 2000, 4).patterns_verified
-    assert json.loads(out)["patterns_verified"] == expected > 0
+    report = monte_carlo_plr(CodeSpec(44, 40), BecChannel(0.1), 2000, 4)
+    payload = json.loads(out)
+    assert payload["patterns_verified"] == report.patterns_verified > 0
+    assert payload["patterns_total"] == report.patterns_total > report.patterns_verified
 
 
 def test_simulate_deterministic_per_seed(capsys):

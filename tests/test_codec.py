@@ -35,6 +35,16 @@ def test_code_spec_validation():
     assert CodeSpec(6, 4).p == 2
 
 
+def test_code_spec_rejects_non_integer_sizes():
+    # a float size would otherwise build a code with a fractional p
+    for n, k in ((44.5, 40), (44, 40.0), (44.0, 40), ("44", 40)):
+        with pytest.raises(TypeError):
+            CodeSpec(n, k)
+    spec = CodeSpec(np.int64(44), np.uint8(40))
+    assert spec == CodeSpec(44, 40)
+    assert (type(spec.n), type(spec.k), spec.p) == (int, int, 4)
+
+
 def test_generator_systematic_prefix():
     gen = build_generator(CodeSpec(5, 4))
     assert gen.matrix.shape == (5, 4)
@@ -49,14 +59,29 @@ def test_generator_deterministic():
 
 def test_generator_matches_gf_pow_definition():
     # the generator is the Vandermonde matrix of i**j (gf_pow, 0**0 = 1)
-    # times the inverse of its top k x k block, bit for bit
+    # times the inverse of its top k x k block, bit for bit: every small
+    # code, the codes the benchmarks build and the extremes of n = 255
     specs = [CodeSpec(n, k) for n in range(2, 13) for k in range(1, n)]
-    for spec in specs + [CodeSpec(108, 100), CodeSpec(255, 200)]:
+    specs += [CodeSpec(n, k) for n, k in ((24, 20), (44, 40), (54, 50), (108, 100),
+                                          (120, 100), (255, 200))]
+    specs += [CodeSpec(255, k) for k in (1, 2, 128, 247, 254)]
+    for spec in specs:
         vand = np.array(
             [[gf_pow(i, j) for j in range(spec.k)] for i in range(spec.n)], dtype=np.uint8
         )
         expected = mat_mul(vand, mat_invert(vand[: spec.k]))
         assert np.array_equal(build_generator(spec).matrix, expected), spec
+
+
+def test_generator_needs_no_inversion_or_product(monkeypatch):
+    # the parity rows are built in closed form, not as V * V_top^-1
+    def forbidden(*args):
+        raise AssertionError("build_generator ran a matrix inversion or product")
+
+    monkeypatch.setattr(codec_mod, "mat_invert", forbidden)
+    monkeypatch.setattr(codec_mod, "mat_mul", forbidden)
+    gen = build_generator(CodeSpec(255, 200))
+    assert gen.matrix.shape == (255, 200)
 
 
 def test_generator_all_submatrices_invertible():

@@ -84,6 +84,12 @@ def test_pow_small_cases():
     assert gf_pow(0, 0) == 1
     assert gf_pow(0, 5) == 0
     assert gf_pow(7, 0) == 1
+    assert gf_mul(gf_pow(7, -1), 7) == 1
+    assert gf_pow(3, -2) == gf_inv(gf_mul(3, 3))
+    with pytest.raises(ZeroDivisionError):
+        gf_pow(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        gf_pow(0, -255)
     x = 1
     for e in range(1, 10):
         x = gf_mul(x, 3)

@@ -386,7 +386,8 @@ def test_monte_carlo_checks_the_packet_path(monkeypatch):
 
 def test_monte_carlo_counts_the_patterns_it_verified():
     # patterns_verified is the number of distinct (part, pattern) pairs a
-    # part can recover that hit its sources, recomputed from the same draw
+    # part can recover that hit its sources, and patterns_total the number
+    # of such part-trials before dedup, both recomputed from the same draw
     for code, p_e, trials, seed in (
         (CodeSpec(44, 40), 0.1, 3000, 8),
         (split(CodeSpec(12, 8), excess=1), 0.3, 5000, 2),
@@ -394,17 +395,19 @@ def test_monte_carlo_counts_the_patterns_it_verified():
     ):
         width = sum(part.n for part in code.parts)
         masks = np.random.default_rng(seed).random((trials, width)) < p_e
-        expected, offset = 0, 0
+        expected = total = offset = 0
         for part in code.parts:
             block = masks[:, offset : offset + part.n]
             offset += part.n
             keep = (block.sum(axis=1) <= part.p) & block[:, : part.k].any(axis=1)
             expected += len({tuple(row) for row in block[keep]})
+            total += int(keep.sum())
         report = monte_carlo_plr(code, BecChannel(p_e), trials, seed)
-        assert expected > 0
-        assert report.patterns_verified == expected
-    assert analytic_plr(CodeSpec(6, 4), BecChannel(0.1)).patterns_verified is None
-    assert brute_force_plr(CodeSpec(6, 4), BecChannel(0.1)).patterns_verified is None
+        assert 0 < expected < total
+        assert (report.patterns_verified, report.patterns_total) == (expected, total)
+    for other in (analytic_plr(CodeSpec(6, 4), BecChannel(0.1)),
+                  brute_force_plr(CodeSpec(6, 4), BecChannel(0.1))):
+        assert (other.patterns_verified, other.patterns_total) == (None, None)
 
 
 def test_monte_carlo_memory_flat_in_trials():
