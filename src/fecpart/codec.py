@@ -112,6 +112,15 @@ class GeneratorMatrix:
         return self.matrix[self.spec.k:]
 
 
+def _slots(indices, count: int) -> set:
+    # the slots of a count-slot block as a set of ints: as in CodeSpec, a
+    # numpy int passes and a float, which would match no slot, raises TypeError
+    slots = {operator.index(i) for i in indices}
+    if slots and not (0 <= min(slots) and max(slots) < count):
+        raise ValueError(f"slots must lie in 0..{count - 1}, got {sorted(slots)}")
+    return slots
+
+
 @dataclass(frozen=True)
 class PacketBlock:
     """A block of packets, some of which may be erased (None).
@@ -149,14 +158,10 @@ class PacketBlock:
     def erase(self, indices) -> "PacketBlock":
         """Copy of this block with the given slots erased.
 
-        Raises ValueError if an index is not a slot of this block.
+        Raises ValueError if an index is not a slot of this block and
+        TypeError if it is not an integer.
         """
-        gone = set(indices)
-        if gone and not (0 <= min(gone) and max(gone) < len(self.packets)):
-            raise ValueError(
-                f"erase indices must lie in 0..{len(self.packets) - 1}, "
-                f"got {sorted(gone)}"
-            )
+        gone = _slots(indices, len(self.packets))
         packets = tuple(
             None if i in gone else pkt for i, pkt in enumerate(self.packets)
         )
@@ -249,12 +254,10 @@ def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
     first e parity rows are used.
 
     Raises ValueError if a slot lies outside 0..n-1 or fewer than k packets
-    survive.
+    survive, and TypeError if a slot is not an integer.
     """
     spec = gen.spec
-    gone = set(erased)
-    if gone and not (0 <= min(gone) and max(gone) < spec.n):
-        raise ValueError(f"erased slots must lie in 0..{spec.n - 1}, got {sorted(gone)}")
+    gone = _slots(erased, spec.n)
     if len(gone) > spec.p:
         raise ValueError(f"{len(gone)} erased slots leave fewer than k={spec.k} packets")
     mask = np.zeros((1, spec.n), dtype=bool)

@@ -7,7 +7,9 @@ tables built once at import for the reduction polynomial x^8+x^4+x^3+x^2+1
 (0x11D), plus a full 256x256 product table so that a matrix product is a table
 gather: `mat_mul` is the one bulk product, used by the codec's encoder and
 batched decoder (the generator is built in closed form from the log and
-antilog tables, with no product or inversion).
+antilog tables, with no product or inversion).  `mat_invert` has one
+clearing path, and its pivot search runs only on a zero pivot, which the
+decoder's MDS blocks never have.
 
 Everything here is pure and operates on immutable tables, so concurrent use
 is safe.
@@ -143,13 +145,14 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mat_invert(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix, or each of a batch of them, by Gauss-Jordan.
 
-    `m` is n x n or B x n x n.  Each matrix pivots on its diagonal element
-    when that is nonzero and otherwise on the first nonzero element below
-    it (exact arithmetic, so any nonzero pivot is as good as any other).
-    Each column is cleared for the whole batch in one table gather, over
-    only the rows where some matrix has a nonzero entry in that column: a
-    dense block (the decoder's e x e block) clears every row, and a
-    submatrix of a systematic generator, mostly identity rows, clears few.
+    `m` is n x n or B x n x n.  There is one clearing path: each column is
+    cleared from every row of the whole batch, in place, by one table
+    gather.  Each matrix pivots on its diagonal element; only when some
+    matrix has a zero there does the pivot search run, and that matrix
+    pivots on the first nonzero element below it (exact arithmetic, so any
+    nonzero pivot is as good as any other).  The decoder's e x e blocks
+    never reach the search: every leading minor of such a block is a square
+    submatrix of the parity rows, which is nonsingular for an MDS code.
 
     Raises SingularMatrixError if a matrix has no inverse.
     """
@@ -164,8 +167,7 @@ def mat_invert(m: np.ndarray) -> np.ndarray:
     for col in range(n):
         factors = aug[:, :, col]  # views: they follow the row swaps below
         pivots = factors[:, col]
-        dense = np.count_nonzero(factors) == factors.size
-        if not dense and np.count_nonzero(pivots) < count:
+        if np.count_nonzero(pivots) < count:
             below = aug[:, col:, col] != 0
             stuck = np.flatnonzero(~below.any(axis=1))
             if stuck.size:
@@ -176,15 +178,9 @@ def mat_invert(m: np.ndarray) -> np.ndarray:
             rows = (moved, piv[moved])
             aug[rows], aug[moved, col] = aug[moved, col], aug[rows]
         # the scaled pivot rows have a 1 in this column, so clearing it from
-        # the rows where some matrix has a nonzero entry (every row when no
-        # entry is zero) zeroes the pivot row too, which then takes the
-        # scaled row
+        # every row zeroes the pivot row too, which then takes the scaled row
         row = MUL_TABLE[_INV_INDEX[pivots][:, None], aug[:, col]]
-        if dense:
-            aug ^= MUL_TABLE[factors[..., None], row[:, None]]
-        else:
-            hit = np.flatnonzero(factors.any(axis=0))
-            aug[:, hit] ^= MUL_TABLE[factors[:, hit, None], row[:, None]]
+        aug ^= MUL_TABLE[factors[..., None], row[:, None]]
         aug[:, col] = row
     inverse = aug[:, :, n:]
     return (inverse if m.ndim == 3 else inverse[0]).copy()

@@ -33,7 +33,7 @@ class PlanRequest:
     def __post_init__(self):
         if not 0.0 < self.plr_target < 1.0:
             raise ValueError(f"plr_target must be in (0, 1), got {self.plr_target}")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:  # NaN fails this too
             raise ValueError(f"delta must be > 0, got {self.delta}")
 
 
@@ -87,7 +87,7 @@ def distribute_excess(parent: CodeSpec, ch: BecChannel, delta: float) -> Partiti
     split would leave a half without parity (only possible for p = 1) are
     skipped.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN fails this too
         raise ValueError(f"delta must be > 0, got {delta}")
     plain = analytic_plr(parent, ch).plr
     previous = None

@@ -147,6 +147,10 @@ def test_packet_block_erase_and_indices():
     for bad in ([6], [-1], [200], [3, 6]):  # not slots of this block
         with pytest.raises(ValueError):
             block.erase(bad)
+    for bad in ([1.5], [1.0], [2, 0.5]):  # not integers: raised, not dropped
+        with pytest.raises(TypeError):
+            block.erase(bad)
+    assert block.erase(np.array([1, 5])).missing_indices == [1, 5]  # numpy ints pass
 
 
 def test_decode_fast_path_performs_no_inversion(monkeypatch):
@@ -231,6 +235,10 @@ def test_decoding_matrix_shape_and_invertibility():
     for erased in ([500], [-1], [0, -3], [6]):
         with pytest.raises(ValueError):
             decoding_matrix(small, erased)
+    for erased in ([1.5], [1.0], [0, 2.5]):  # not integers
+        with pytest.raises(TypeError):
+            decoding_matrix(small, erased)
+    assert np.array_equal(decoding_matrix(small, np.array([0, 5])), decoding_matrix(small, [0, 5]))
     assert decoding_matrix(small, [0, 5]).shape == (1, 1)
 
 
@@ -325,3 +333,39 @@ def test_decoding_matrix_uses_first_surviving_parity_rows():
     assert np.array_equal(decoding_matrix(gen, [6, 1, 4]), m[[8, 9, 10]][:, [1, 4, 6]])
     assert np.array_equal(decoding_matrix(gen, [0, 8, 10]), m[[9]][:, [0]])
     assert np.array_equal(decoding_matrix(gen, [2, 3, 9]), m[[8, 10]][:, [2, 3]])
+
+
+def inverse_through_decoding_matrix(gen, rows):
+    # G[R]^-1 assembled from the decoder's e x e block B alone: the kept
+    # sources S come back as identity rows, and the parity rows Rp give
+    # B x_E = y_Rp + G[Rp, S] y_S for the erased sources E (XOR is GF(2^8)
+    # subtraction); columns follow the slots of R in ascending order
+    k = gen.spec.k
+    rows = np.sort(rows)
+    kept, parity = rows[rows < k], rows[rows >= k]
+    lost = np.setdiff1d(np.arange(k), kept)
+    b_inv = mat_invert(decoding_matrix(gen, np.setdiff1d(np.arange(gen.spec.n), rows)))
+    at_kept, at_parity = np.arange(len(kept)), len(kept) + np.arange(len(parity))
+    inverse = np.zeros((k, k), dtype=np.uint8)
+    inverse[kept, at_kept] = 1
+    inverse[np.ix_(lost, at_parity)] = b_inv
+    inverse[np.ix_(lost, at_kept)] = mat_mul(b_inv, gen.matrix[np.ix_(parity, kept)])
+    return inverse
+
+
+def test_decoding_matrix_reduction_gives_the_k_row_inverse():
+    # the reduction criterion 4 relies on: a k-row set R is invertible
+    # exactly when B = decoding_matrix(gen, <slots not in R>) is, and B^-1
+    # yields G[R]^-1 bit for bit; every R of every code with n <= 8, and the
+    # first 10 row sets criterion 4 draws on C(255, 200)
+    cases = []
+    for n in range(2, 9):
+        for k in range(1, n):
+            gen = build_generator(CodeSpec(n, k))
+            cases += [(gen, list(rows)) for rows in itertools.combinations(range(n), k)]
+    big = build_generator(CodeSpec(255, 200))
+    rng = np.random.default_rng(99)
+    cases += [(big, rng.choice(255, size=200, replace=False)) for _ in range(10)]
+    for gen, rows in cases:
+        expected = mat_invert(gen.matrix[np.sort(rows)])
+        assert np.array_equal(inverse_through_decoding_matrix(gen, rows), expected), rows

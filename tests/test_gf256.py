@@ -263,9 +263,9 @@ def test_mat_invert_batch_names_a_singular_item():
 
 
 def test_mat_invert_identity_heavy_submatrix():
-    # a k-row submatrix of a systematic generator, mostly identity rows:
-    # only the rows nonzero in a pivot column are cleared, and the inverse
-    # still multiplies back to the identity
+    # a k-row submatrix of a systematic generator, mostly identity rows with
+    # zeros on the diagonal where a source row is missing: the pivot search
+    # runs, and the inverse still multiplies back to the identity
     from fecpart.codec import CodeSpec, build_generator
 
     gen = build_generator(CodeSpec(60, 40))

@@ -99,8 +99,11 @@ def test_distribute_excess_single_parity_parent_skips_invalid_splits():
 
 
 def test_distribute_excess_validates_delta():
-    with pytest.raises(ValueError):
-        distribute_excess(CodeSpec(48, 40), BecChannel(0.1), 0.0)
+    # rejected up front: a NaN that reached the excess scan would end in a
+    # CapacityError (itself a ValueError) that blames the field bound
+    for delta in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="delta"):
+            distribute_excess(CodeSpec(48, 40), BecChannel(0.1), delta)
 
 
 def test_plan_reference_points():
@@ -127,8 +130,9 @@ def test_plan_result_invariants():
 def test_plan_request_validation():
     with pytest.raises(ValueError):
         PlanRequest(k=40, ch=BecChannel(0.1), plr_target=0.0)
-    with pytest.raises(ValueError):
-        PlanRequest(k=40, ch=BecChannel(0.1), delta=0.0)
+    for delta in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            PlanRequest(k=40, ch=BecChannel(0.1), delta=delta)
 
 
 def test_excess_grid_matches_golden_data():
