@@ -2,9 +2,10 @@
 """Measure the cost reduction on this machine: encode/decode, plain vs split.
 
 Times the codec on 1500-byte packets with 8 parity packets across block
-lengths, and the decoder's matrix-inversion step on its own, all in one
+lengths, and the decoder's coefficient step on its own (the closed-form
+Lagrange coefficients that stand in for a matrix inversion), all in one
 round-robin sweep.  Expect the partitioned timings near half the plain
-ones, and inversion to be noise next to the per-byte matrix-product work.
+ones, and the coefficients to be noise next to the per-byte product work.
 """
 
 from fecpart import BenchConfig, run_bench
@@ -23,6 +24,6 @@ for k in cfg.k_values:
           f"{dec:>10.3f} {part_dec:>9.3f} {part_dec / dec:>6.2f}")
 
 inv = ms["plain", "invert", 100]
-print(f"\nisolated decode-path inversion at k=100: {inv:.3f} ms "
+print(f"\nisolated decoder coefficients at k=100: {inv:.3f} ms "
       f"({inv / ms['plain', 'decode', 100] * 100:.1f}% of the full decode)")
-print("the decoder's time goes into per-byte table lookups, not the inversion.")
+print("the decoder's time goes into per-byte table lookups, not its coefficients.")

@@ -8,14 +8,11 @@ all points share the machine's state.  Timed regions cover the public codec
 call only (`encode`/`decode` plain, `encode_partitioned`/
 `decode_partitioned` partitioned): generator construction, payload
 allocation and RNG all happen outside.
-Decode is timed in its worst case, with every erasure hitting a source
-packet so the decoder must invert and reconstruct; the erasures are dealt
-over the code's parts.
-
-The isolated "invert" phase times exactly the matrix-inversion step the
-decoder performs for that worst case (building and inverting the reduced
-decoding matrix).  Comparisons should always be ratios of points from the
-same run on the same machine; absolute milliseconds do not transfer.
+Decode is timed in its worst case, every erasure hitting a source packet
+(dealt over the code's parts).  The "invert" phase times, for that case,
+the decoder's closed-form stand-in for an inversion: `decoding_matrix`,
+its row selection and coefficients, touching no payload.  Comparisons
+should always be ratios of points from the same run on one machine.
 
 Measurement is strictly single-threaded: time one process, one thread, and
 nothing concurrent.
@@ -36,7 +33,6 @@ from .codec import (
     decoding_matrix,
     encode,
 )
-from .gf256 import mat_invert
 from .partition import decode_partitioned, encode_partitioned, split
 
 WARMUP_ITERATIONS = 10
@@ -165,13 +161,13 @@ def _decode_call(cfg: BenchConfig, k: int, mode: str):
 
 
 def _invert_call(cfg: BenchConfig, k: int, mode: str):
-    # each part's worst case: as many source erasures as it can repair
+    # each part's recovery matrix for as many source erasures as it repairs
     _, code, gens = _code(cfg, k, mode)
     blocks = [(gen, range(min(part.p, part.k))) for part, gen in zip(code.parts, gens)]
 
     def fn():
         for gen, erased in blocks:
-            mat_invert(decoding_matrix(gen, erased))
+            decoding_matrix(gen, erased)
 
     return fn
 
@@ -185,7 +181,7 @@ def run_bench(cfg: BenchConfig, modes=MODES, phases=PHASES) -> list:
     All points share the machine's state, so ratios between any two of them
     (partitioned vs plain, invert vs decode) are taken under the same
     conditions.  Points come out ordered by mode, then phase, then k;
-    invert points report packet_size 0, since inversion touches no payload.
+    invert points report packet_size 0, since they touch no payload.
     """
     for kind, names, known in (("mode", modes, MODES), ("phase", phases, PHASES)):
         for name in names:

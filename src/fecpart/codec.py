@@ -4,21 +4,19 @@ A C(n, k) code turns k equal-size source packets into n packets (the k
 sources verbatim plus p = n - k parity packets); any k received packets
 reconstruct the sources.  The generator is a Vandermonde matrix on points
 0..n-1 normalized so its top k x k block is the identity, the standard
-construction for packet FEC, which makes every k x k row-submatrix
-invertible.  Row i of the normalized matrix evaluates at point i the
-polynomial that interpolates the sources at points 0..k-1, so the parity
-rows are the Lagrange basis values G[i, j] = prod over m < k, m != j of
-(i ^ m) / (j ^ m), which `build_generator` computes in closed form.
+construction for packet FEC.  Row i of it evaluates at point i the
+polynomial that interpolates the sources at points 0..k-1; any k received
+packets fix that polynomial too, so one closed form (`_lagrange`, the
+Lagrange basis values) gives both the parity rows and the decoder's
+coefficients, and nothing here inverts a matrix.
 
 Per byte position, encoding costs exactly p*k symbol multiply-accumulates
-and erasure decoding e*k (e = number of lost source packets).  Encoding is
-one GF(256) matrix product (`gf256.mat_mul`).  Decoding is one erasure
-solve over arrays, `decode_batch`, which recovers a batch of blocks with
-one batched inversion and two batched products per erased-source count;
-`decode` is its one-block case for a PacketBlock.  Each call adds its exact
-count (p*k, or e*k per block) to the module-level `mac_counter` in one
-step, so tests and benchmarks can verify the arithmetic cost rather than
-trust the O() claim.
+and erasure decoding e*k (e = number of lost source packets), each one
+GF(256) matrix product (`gf256.mat_mul`).  `decode_batch` recovers a batch
+of blocks, one product per erased-source count; `decode` is its one-block
+case for a PacketBlock.  Each call adds its exact count to the module-level
+`mac_counter` in one step, so tests and benchmarks can verify the
+arithmetic cost rather than trust the O() claim.
 """
 
 from __future__ import annotations
@@ -28,9 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf256 import EXP_TABLE, LOG_TABLE, identity, mat_invert, mat_mul
+from .gf256 import EXP_TABLE, LOG_TABLE, identity, mat_mul
+# not called here; perfbench/tracing.py wraps this name on this module
+from .gf256 import mat_invert  # noqa: F401
 
 MAX_CODE_LENGTH = 255  # one codeword symbol per nonzero field element
+# the antilog table over three periods: a log in -510..254 indexes it at +510
+_EXP3 = np.tile(EXP_TABLE[:255], 3)
+_LOG16 = LOG_TABLE.astype(np.int16)
 
 
 class UnrecoverableBlockError(Exception):
@@ -106,6 +109,7 @@ class GeneratorMatrix:
 
     spec: CodeSpec
     matrix: np.ndarray
+    log_sums: np.ndarray  # per point y < n: the sum of LOG[y ^ m] over sources m < k
 
     @property
     def parity_rows(self) -> np.ndarray:
@@ -176,6 +180,29 @@ class PacketBlock:
         return [i for i, pkt in enumerate(self.packets) if pkt is None]
 
 
+def _lagrange(log_sums, targets, nodes, dropped, added) -> np.ndarray:
+    # the Lagrange basis values C[x, r] = prod over m in R, m != r of
+    # (x ^ m) / (r ^ m), (..., t, k), at points x (..., t) not in the node
+    # sets R (..., k), each the sources minus `dropped` plus `added` (..., d).
+    # Its log is F(x) - LOG[x ^ r] - F(r), where F(y) = sum of LOG[y ^ m]
+    # over m in R (LOG[0] = 0 drops m = y) is log_sums[y] corrected for the
+    # moved points; uint8 points and int16 logs keep the big arrays small
+    d = dropped.shape[-1]
+    points = np.concatenate([targets, nodes], axis=-1)
+    logs = log_sums[points]
+    points = points.astype(np.uint8)
+    moved = np.concatenate([dropped, added], axis=-1).astype(np.uint8)
+    terms = _LOG16.take(moved[..., :, None] ^ points[..., None, :])
+    logs -= terms[..., :d, :].sum(axis=-2)
+    logs += terms[..., d:, :].sum(axis=-2)
+    logs = (logs % 255).astype(np.int16)
+    t = targets.shape[-1]
+    exponents = _LOG16.take(points[..., :t, None] ^ points[..., None, t:])
+    np.subtract(logs[..., :t, None] + 510, exponents, out=exponents)
+    exponents -= logs[..., None, t:]
+    return _EXP3.take(exponents)
+
+
 def build_generator(spec: CodeSpec) -> GeneratorMatrix:
     """Deterministic systematic MDS generator for `spec`, in closed form.
 
@@ -189,21 +216,18 @@ def build_generator(spec: CodeSpec) -> GeneratorMatrix:
         G[i, j] = prod over m < k, m != j of (i ^ m) / (j ^ m)
 
     for i in k..n-1 and j in 0..k-1 (a difference of two points is their
-    XOR in GF(2^8)).  In logs that is EXP[S_i - LOG[i ^ j] - T_j], with S_i
-    the sum of LOG[i ^ m] over all m < k and T_j that of LOG[j ^ m] over
-    m != j: one p x k and one k x k log-table gather and two row sums, with
-    no inversion and no matrix product.
+    XOR in GF(2^8)): the decoder's `_lagrange` with the sources as nodes,
+    from the row sums `log_sums` of one n x k log-table gather, with no
+    inversion and no matrix product.
     """
     n, k = spec.n, spec.k
-    points = np.arange(k)
-    # i ^ m is never 0 for a parity point i; LOG[j ^ j] = LOG[0] = 0, so the
-    # k x k row sums skip m = j by themselves
-    num = LOG_TABLE[np.arange(k, n)[:, None] ^ points]
-    den = LOG_TABLE[points[:, None] ^ points].sum(axis=1)
-    parity = EXP_TABLE[(num.sum(axis=1)[:, None] - num - den) % 255]
+    log_sums = LOG_TABLE[np.arange(n)[:, None] ^ np.arange(k)].sum(axis=1)
+    log_sums.setflags(write=False)
+    none = np.zeros(0, dtype=np.intp)
+    parity = _lagrange(log_sums, np.arange(k, n), np.arange(k), none, none)
     matrix = np.concatenate([identity(k), parity])
     matrix.setflags(write=False)
-    return GeneratorMatrix(spec, matrix)
+    return GeneratorMatrix(spec, matrix, log_sums)
 
 
 def _stack(packets, indices, size: int) -> np.ndarray:
@@ -217,9 +241,12 @@ def encode(gen: GeneratorMatrix, source: PacketBlock) -> PacketBlock:
 
     The k source packets pass through byte-identical; the parity packets
     are the GF(256) product of the generator's parity rows with the k x L
-    source array (p*k MACs per byte in total).
+    source array (p*k MACs per byte in total).  Raises ValueError unless
+    `source` is a full source block of `gen`'s code.
     """
     spec = gen.spec
+    if source.spec != spec:
+        raise ValueError(f"source block of {source.spec} given to the encoder of {spec}")
     if len(source.packets) != spec.k or None in source.packets:
         raise ValueError(f"encode needs exactly {spec.k} present source packets")
     sources = _stack(source.packets, range(spec.k), source.packet_size)
@@ -230,28 +257,30 @@ def encode(gen: GeneratorMatrix, source: PacketBlock) -> PacketBlock:
     )
 
 
-def _select(gen: GeneratorMatrix, erased: np.ndarray, e: int) -> tuple:
-    # for (B, n) erasure masks that each erase e sources and at most p
-    # slots: the decoder's rows beyond the surviving (identity) source rows,
-    # which are the first e surviving parity rows, the erased source columns
-    # and the surviving ones, each as a (B, count) array in ascending order
-    # (stable sorts of the masks put the wanted slots first, in slot order)
+def _coefficients(gen: GeneratorMatrix, erased: np.ndarray, e: int) -> tuple:
+    # for (B, n) masks that each erase e sources and at most p slots: the
+    # erased sources E (B, e), the slots R read (B, k): the kept sources,
+    # then the first e surviving parity (stable sorts of the masks put the
+    # wanted slots first, in order), and C[E, R] (B, e, k): x_E = C[E, R] y_R
     k = gen.spec.k
-    rows = k + np.argsort(erased[:, k:], axis=1, kind="stable")[:, :e]
+    parity = k + np.argsort(erased[:, k:], axis=1, kind="stable")[:, :e]
     sources = np.argsort(~erased[:, :k], axis=1, kind="stable")
-    return rows, sources[:, :e], sources[:, e:]
+    lost, nodes = sources[:, :e], np.concatenate([sources[:, e:], parity], axis=1)
+    # slices of about 2^14 entries keep _lagrange's temporaries cache-sized
+    step = max(1, (1 << 14) // (e * (k + e) + 1))
+    slices = [slice(i, i + step) for i in range(0, len(lost), step)]
+    coefficients = [_lagrange(gen.log_sums, lost[i], nodes[i], lost[i], parity[i]) for i in slices]
+    return lost, nodes, np.concatenate(coefficients)
 
 
 def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
-    """The e x e matrix the decoder inverts for a given set of erased slots.
+    """The decoder's e x n recovery matrix D for a given set of erased slots.
 
-    The decoder solves with the surviving source rows, which are identity
-    rows, plus the first e surviving parity rows, so the k x k system
-    reduces exactly to this block: those parity rows restricted to the e
-    erased source columns.  This is the one-pattern case of the selection
-    `decode_batch` makes; passing erased sources only gives the worst case
-    the benchmark isolates, where every parity packet survived and the
-    first e parity rows are used.
+    Row i gives the i-th erased source (ascending) as D[i] . y over the n
+    received packets y.  On R, the k slots the decoder reads (the kept
+    sources, then the first e surviving parity), D holds the rows of
+    G[R]^-1 for the erased sources, the Lagrange coefficients of
+    `decode_batch` for one pattern; it is zero off R.
 
     Raises ValueError if a slot lies outside 0..n-1 or fewer than k packets
     survive, and TypeError if a slot is not an integer.
@@ -262,20 +291,19 @@ def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
         raise ValueError(f"{len(gone)} erased slots leave fewer than k={spec.k} packets")
     mask = np.zeros((1, spec.n), dtype=bool)
     mask[0, list(gone)] = True
-    rows, cols, _ = _select(gen, mask, int(mask[0, : spec.k].sum()))
-    return gen.matrix[rows[0, :, None], cols[0]]
+    _, nodes, coefficients = _coefficients(gen, mask, int(mask[0, : spec.k].sum()))
+    matrix = np.zeros((len(coefficients[0]), spec.n), dtype=np.uint8)
+    matrix[:, nodes[0]] = coefficients[0]
+    return matrix
 
 
 def _solve(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray, e: int) -> tuple:
     # the erasure solve for (B, n, L) blocks that each erase e sources:
     # their erased source columns, (B, e), and those sources, (B, e, L)
-    rows, cols, kept = _select(gen, erased, e)
-    blocks = mat_invert(gen.matrix[rows[:, :, None], cols[:, None, :]])
-    # rhs_i = y_i - sum over surviving sources s of G[row_i, s] * x_s
-    picked = received[np.arange(len(received))[:, None], np.concatenate([rows, kept], axis=1)]
-    rhs = picked[:, :e] ^ mat_mul(gen.matrix[rows[:, :, None], kept[:, None, :]], picked[:, e:])
+    lost, nodes, coefficients = _coefficients(gen, erased, e)
+    picked = received[np.arange(len(received))[:, None], nodes]
     mac_counter.per_byte += len(received) * e * gen.spec.k
-    return cols, mat_mul(blocks, rhs)
+    return lost, mat_mul(coefficients, picked)
 
 
 def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray) -> np.ndarray:
@@ -286,16 +314,12 @@ def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray)
     them, so that a solve that read one would show); every block must keep
     at least k of its n packets.  Returns the (B, k, L) sources.
 
-    The blocks are grouped by e, their number of erased sources.  Each
-    block solves with its surviving source rows, which are identity rows,
-    plus its first e surviving parity rows, so its k x k system reduces to
-    the e x e block of those parity rows on its erased source columns
-    (`decoding_matrix`).  A group inverts all its blocks in one batched
-    Gauss-Jordan and recovers its sources with two batched products: the
-    selected parity minus the surviving sources' share, e*(k-e) MACs per
-    byte, times the inverted blocks, e*e.  A block's recovery costs e*k
-    MACs per byte, and each call adds the sum over its blocks to
-    `mac_counter`.
+    The blocks are grouped by e, their number of erased sources.  A block's
+    erased sources are the values at their points of the polynomial that its
+    kept sources and first e surviving parity packets interpolate: a group
+    gets those Lagrange coefficients in closed form (the rows of
+    `decoding_matrix`) and recovers its sources with one batched product,
+    e*k MACs per byte per block, added to `mac_counter`.
     """
     spec = gen.spec
     k = spec.k
@@ -321,10 +345,9 @@ def decode(gen: GeneratorMatrix, received: PacketBlock) -> list:
     """Recover the k source packets from any >= k received packets.
 
     If every source packet survived they are returned as-is with no matrix
-    work.  Otherwise the block is packed as a batch of one and goes through
-    the erasure solve of `decode_batch`, at e*k MACs per byte (e = number
-    of lost source packets); the surviving sources are returned as the same
-    objects and only the recovered ones are new.
+    work.  Otherwise the block goes through the solve of `decode_batch` as
+    a batch of one, at e*k MACs per byte (e = number of lost sources); the
+    surviving sources are returned as the same objects.
 
     Raises ValueError if the block is not a coded block of `gen`'s code and
     UnrecoverableBlockError if fewer than k packets survived.
@@ -343,10 +366,9 @@ def decode(gen: GeneratorMatrix, received: PacketBlock) -> list:
     if not missing_src:
         return list(packets[:k])
 
-    size = received.packet_size
-    zeros = bytes(size)
+    zeros = bytes(received.packet_size)
     joined = b"".join([zeros if pkt is None else pkt for pkt in packets])
-    block = np.frombuffer(joined, dtype=np.uint8).reshape(1, spec.n, size)
+    block = np.frombuffer(joined, dtype=np.uint8).reshape(1, spec.n, -1)
     erased = np.zeros((1, spec.n), dtype=bool)
     erased[0, missing] = True
     _, lost = _solve(gen, block, erased, len(missing_src))

@@ -4,15 +4,11 @@ Field elements are plain ints in 0..255 (or uint8 numpy arrays for bulk
 work); matrices are 2-D uint8 numpy arrays, and `mat_mul` and `mat_invert`
 also take a batch of them as one 3-D array.  Multiplication uses log/antilog
 tables built once at import for the reduction polynomial x^8+x^4+x^3+x^2+1
-(0x11D), plus a full 256x256 product table so that a matrix product is a table
-gather: `mat_mul` is the one bulk product, used by the codec's encoder and
-batched decoder (the generator is built in closed form from the log and
-antilog tables, with no product or inversion).  `mat_invert` has one
-clearing path, and its pivot search runs only on a zero pivot, which the
-decoder's MDS blocks never have.
-
-Everything here is pure and operates on immutable tables, so concurrent use
-is safe.
+(0x11D), plus a full 256x256 product table so that a matrix product is a
+table gather.  `mat_mul` is the codec's one bulk product; `mat_invert` is
+the reference inverse that the tests and the MDS check use, off every
+encode and decode path.  Everything here is pure and operates on immutable
+tables, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -145,14 +141,10 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mat_invert(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix, or each of a batch of them, by Gauss-Jordan.
 
-    `m` is n x n or B x n x n.  There is one clearing path: each column is
-    cleared from every row of the whole batch, in place, by one table
-    gather.  Each matrix pivots on its diagonal element; only when some
-    matrix has a zero there does the pivot search run, and that matrix
-    pivots on the first nonzero element below it (exact arithmetic, so any
-    nonzero pivot is as good as any other).  The decoder's e x e blocks
-    never reach the search: every leading minor of such a block is a square
-    submatrix of the parity rows, which is nonsingular for an MDS code.
+    `m` is n x n or B x n x n.  Each column is cleared from every row of
+    the whole batch, in place, by one gather from the flat product table.
+    Each matrix pivots on its diagonal element, or, where that is zero, on
+    the first nonzero element below it (exact arithmetic: any will do).
 
     Raises SingularMatrixError if a matrix has no inverse.
     """
@@ -180,7 +172,7 @@ def mat_invert(m: np.ndarray) -> np.ndarray:
         # the scaled pivot rows have a 1 in this column, so clearing it from
         # every row zeroes the pivot row too, which then takes the scaled row
         row = MUL_TABLE[_INV_INDEX[pivots][:, None], aug[:, col]]
-        aug ^= MUL_TABLE[factors[..., None], row[:, None]]
+        aug ^= _FLAT_MUL.take((factors.astype(np.intp) << 8)[..., None] | row[:, None])
         aug[:, col] = row
     inverse = aug[:, :, n:]
     return (inverse if m.ndim == 3 else inverse[0]).copy()

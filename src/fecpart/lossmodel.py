@@ -63,10 +63,11 @@ class LossPmf:
 
     def __post_init__(self):
         probs = self.probabilities
-        if np.any(probs < 0):
+        # written so that NaN, which compares false, fails both checks
+        if not (probs >= 0).all():
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     @property
@@ -221,18 +222,15 @@ def monte_carlo_plr(code, ch: BecChannel, trials: int, seed: int) -> PlrReport:
     independently; the draws come from one seeded generator in fixed
     chunks of trials, so memory does not grow with the trial count and
     results do not depend on the chunking.  A part whose erasures exceed
-    its parity loses exactly its erased source packets, the same set the
-    decoder's error reports (that equivalence is unit-tested); counting
-    those from the mask keeps million-trial runs affordable.  Every
-    *distinct* erasure pattern of a part that the part can recover and
-    that hits its sources is decoded once through the actual encoder and
-    the codec's batched solve (`decode_batch`, which `decode` also runs
-    through), a chunk of patterns per call, and the recovered payloads
-    are verified.
+    its parity loses exactly its erased source packets, the set the
+    decoder's error reports (unit-tested), counted from the mask so that
+    million-trial runs stay fast.  Every *distinct* pattern of a part that
+    it can recover and that hits its sources is encoded, solved by
+    `decode_batch` (a chunk of patterns per call) and verified.
 
-    Reports the mean per-trial loss fraction, the 95%
-    normal-approximation half-width of that mean, the number of distinct
-    patterns verified and the number of part-trials they stand for.
+    Reports the mean per-trial loss fraction, the 95% normal-approximation
+    half-width of that mean, the number of distinct patterns verified and
+    the number of part-trials they stand for.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -108,9 +108,11 @@ def encode_partitioned(
 
     The first k1 source packets feed the first code, the rest the second;
     total cost is k1*p1 + k2*p2 MACs per byte, about half the parent's k*p
-    when excess is zero.  Pass prebuilt `gens` to amortize generator
-    construction across blocks.
+    when excess is zero.  Pass prebuilt `gens` to amortize generator set-up
+    across blocks.  `source` must be a full source block of the parent.
     """
+    if source.spec != ps.parent:
+        raise ValueError(f"source block of {source.spec} given to the split of {ps.parent}")
     if len(source.packets) != ps.parent.k or None in source.packets:
         raise ValueError(f"need exactly {ps.parent.k} present source packets")
     gens = gens if gens is not None else half_generators(ps)

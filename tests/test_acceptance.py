@@ -23,7 +23,7 @@ from fecpart.codec import (
     encode,
     mac_counter,
 )
-from fecpart.gf256 import SingularMatrixError, mat_invert
+from fecpart.gf256 import SingularMatrixError, identity, mat_invert, mat_mul
 from fecpart.lossmodel import (
     BecChannel,
     analytic_plr,
@@ -144,20 +144,25 @@ def test_criterion_4_mds_property(report):
             raise
 
     # A k-row set R of a systematic generator is invertible exactly when the
-    # decoder's e x e block is: R's identity rows fix its kept sources, which
-    # leaves R's parity rows on the e missing source columns, and that block
-    # is decoding_matrix(gen, <slots not in R>).  The first 10 samples are
-    # also inverted in full, as identity-heavy 200 x 200 matrices.
+    # decoder's e x e block B = G[P, E] is: R's identity rows fix its kept
+    # sources, which leaves R's parity rows P on the e missing source columns
+    # E.  The decoder's recovery matrix D = decoding_matrix(gen, <slots not
+    # in R>) must hold B's inverse on P, so D[:, P] B = I proves B
+    # invertible.  The first 10 samples are also inverted in full, as
+    # identity-heavy 200 x 200 matrices.
     big = CodeSpec(255, 200)
     gen = build_generator(big)
     rng = np.random.default_rng(99)
     for i in range(1000):
-        rows = rng.choice(big.n, size=big.k, replace=False)
+        rows = np.sort(rng.choice(big.n, size=big.k, replace=False))
+        parity, lost = rows[rows >= big.k], np.setdiff1d(np.arange(big.k), rows)
+        d = decoding_matrix(gen, np.setdiff1d(np.arange(big.n), rows))
         try:
             if i < 10:
-                mat_invert(gen.matrix[np.sort(rows)])
-            mat_invert(decoding_matrix(gen, np.setdiff1d(np.arange(big.n), rows)))
-        except SingularMatrixError:
+                mat_invert(gen.matrix[rows])
+            product = mat_mul(d[:, parity], gen.matrix[parity][:, lost])
+            assert np.array_equal(product, identity(len(lost))), "D[:, P] G[P, E] != I"
+        except (SingularMatrixError, AssertionError):
             report(4, "every k-row submatrix invertible", False, f"sample {i}")
             raise
 

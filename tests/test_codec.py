@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fecpart.codec as codec_mod
+import fecpart.gf256 as gf256_mod
 from fecpart.codec import (
     CodeSpec,
     PacketBlock,
@@ -73,12 +74,21 @@ def test_generator_matches_gf_pow_definition():
         assert np.array_equal(build_generator(spec).matrix, expected), spec
 
 
+def forbid_inversion(monkeypatch):
+    # make every reachable name of the Gauss-Jordan inverse raise
+    def forbidden(*args):
+        raise AssertionError("a matrix inversion ran")
+
+    monkeypatch.setattr(codec_mod, "mat_invert", forbidden)
+    monkeypatch.setattr(gf256_mod, "mat_invert", forbidden)
+
+
 def test_generator_needs_no_inversion_or_product(monkeypatch):
     # the parity rows are built in closed form, not as V * V_top^-1
     def forbidden(*args):
-        raise AssertionError("build_generator ran a matrix inversion or product")
+        raise AssertionError("build_generator ran a matrix product")
 
-    monkeypatch.setattr(codec_mod, "mat_invert", forbidden)
+    forbid_inversion(monkeypatch)
     monkeypatch.setattr(codec_mod, "mat_mul", forbidden)
     gen = build_generator(CodeSpec(255, 200))
     assert gen.matrix.shape == (255, 200)
@@ -135,6 +145,11 @@ def test_encode_rejects_wrong_packet_count_or_size():
         PacketBlock.source(spec, [b"abc"] * 3)
     with pytest.raises(ValueError):
         PacketBlock.source(spec, [b"abc", b"abc", b"abc", b"abcd"])
+    # a source block of another code, even one with the same k
+    for other in (CodeSpec(8, 4), CodeSpec(5, 4), CodeSpec(6, 5)):
+        payloads = random_payloads(np.random.default_rng(7), other.k, size=3)
+        with pytest.raises(ValueError):
+            encode(gen, PacketBlock.source(other, payloads))
 
 
 def test_packet_block_erase_and_indices():
@@ -158,13 +173,28 @@ def test_decode_fast_path_performs_no_inversion(monkeypatch):
     gen = build_generator(spec)
     payloads = random_payloads(np.random.default_rng(2), 4)
     block = encode(gen, PacketBlock.source(spec, payloads))
-
-    def boom(_):
-        raise AssertionError("fast path must not invert")
-
-    monkeypatch.setattr(codec_mod, "mat_invert", boom)
+    forbid_inversion(monkeypatch)
     assert decode(gen, block) == payloads
     assert decode(gen, block.erase([4, 5])) == payloads  # parity-only erasures
+
+
+def test_decoder_never_inverts(monkeypatch):
+    # the decoder interpolates: every pattern of up to p erasures of C(8, 5)
+    # decodes, block by block and as one batch, with no inversion reachable
+    spec = CodeSpec(8, 5)
+    gen = build_generator(spec)
+    payloads = random_payloads(np.random.default_rng(13), spec.k, size=5)
+    block = encode(gen, PacketBlock.source(spec, payloads))
+    coded = coded_array(gen, payloads)
+    patterns = [p for e in range(spec.p + 1) for p in itertools.combinations(range(spec.n), e)]
+    erased = np.zeros((len(patterns), spec.n), dtype=bool)
+    for row, pattern in zip(erased, patterns):
+        row[list(pattern)] = True
+    forbid_inversion(monkeypatch)
+    for pattern in patterns:
+        assert decode(gen, block.erase(pattern)) == payloads, pattern
+    sources = decode_batch(gen, np.where(erased[:, :, None], np.uint8(0), coded), erased)
+    assert np.array_equal(sources, np.broadcast_to(coded[: spec.k], sources.shape))
 
 
 def test_decode_all_two_erasure_patterns():
@@ -224,10 +254,12 @@ def test_decode_mac_count_is_e_times_k():
 def test_decoding_matrix_shape_and_invertibility():
     spec = CodeSpec(12, 8)
     gen = build_generator(spec)
-    assert decoding_matrix(gen, []).shape == (0, 0)
-    b = decoding_matrix(gen, [1, 4, 6])
-    assert b.shape == (3, 3)
-    mat_invert(b)
+    assert decoding_matrix(gen, []).shape == (0, 12)
+    d = decoding_matrix(gen, [1, 4, 6])
+    assert d.shape == (3, 12)
+    # on the parity rows it reads, D inverts the e x e block G[P, E]
+    parity, lost = [8, 9, 10], [1, 4, 6]
+    assert np.array_equal(mat_mul(d[:, parity], gen.matrix[parity][:, lost]), identity(3))
     with pytest.raises(ValueError):
         decoding_matrix(gen, range(5))  # more erasures than parity
     # slots that do not exist are rejected, not dropped
@@ -239,7 +271,7 @@ def test_decoding_matrix_shape_and_invertibility():
         with pytest.raises(TypeError):
             decoding_matrix(small, erased)
     assert np.array_equal(decoding_matrix(small, np.array([0, 5])), decoding_matrix(small, [0, 5]))
-    assert decoding_matrix(small, [0, 5]).shape == (1, 1)
+    assert decoding_matrix(small, [0, 5]).shape == (1, 6)
 
 
 def test_decode_rejects_source_sized_block():
@@ -326,37 +358,22 @@ def test_decode_batch_checks_shapes_and_code():
 
 
 def test_decoding_matrix_uses_first_surviving_parity_rows():
-    # the decoder's rule: the first e surviving parity rows, in slot order,
-    # on the erased source columns
+    # the decoder's rule: it reads the kept sources and the first e
+    # surviving parity rows, in slot order, and nothing else
     gen = build_generator(CodeSpec(12, 8))
-    m = gen.matrix
-    assert np.array_equal(decoding_matrix(gen, [6, 1, 4]), m[[8, 9, 10]][:, [1, 4, 6]])
-    assert np.array_equal(decoding_matrix(gen, [0, 8, 10]), m[[9]][:, [0]])
-    assert np.array_equal(decoding_matrix(gen, [2, 3, 9]), m[[8, 10]][:, [2, 3]])
-
-
-def inverse_through_decoding_matrix(gen, rows):
-    # G[R]^-1 assembled from the decoder's e x e block B alone: the kept
-    # sources S come back as identity rows, and the parity rows Rp give
-    # B x_E = y_Rp + G[Rp, S] y_S for the erased sources E (XOR is GF(2^8)
-    # subtraction); columns follow the slots of R in ascending order
-    k = gen.spec.k
-    rows = np.sort(rows)
-    kept, parity = rows[rows < k], rows[rows >= k]
-    lost = np.setdiff1d(np.arange(k), kept)
-    b_inv = mat_invert(decoding_matrix(gen, np.setdiff1d(np.arange(gen.spec.n), rows)))
-    at_kept, at_parity = np.arange(len(kept)), len(kept) + np.arange(len(parity))
-    inverse = np.zeros((k, k), dtype=np.uint8)
-    inverse[kept, at_kept] = 1
-    inverse[np.ix_(lost, at_parity)] = b_inv
-    inverse[np.ix_(lost, at_kept)] = mat_mul(b_inv, gen.matrix[np.ix_(parity, kept)])
-    return inverse
+    for erased, read in (
+        ([6, 1, 4], [0, 2, 3, 5, 7, 8, 9, 10]),
+        ([0, 8, 10], [1, 2, 3, 4, 5, 6, 7, 9]),
+        ([2, 3, 9], [0, 1, 4, 5, 6, 7, 8, 10]),
+    ):
+        d = decoding_matrix(gen, erased)
+        assert np.array_equal(np.flatnonzero(d.any(axis=0)), read), erased
+        assert (d[:, read] != 0).all()
 
 
 def test_decoding_matrix_reduction_gives_the_k_row_inverse():
-    # the reduction criterion 4 relies on: a k-row set R is invertible
-    # exactly when B = decoding_matrix(gen, <slots not in R>) is, and B^-1
-    # yields G[R]^-1 bit for bit; every R of every code with n <= 8, and the
+    # on the k slots R it reads, D holds the rows of G[R]^-1 for the erased
+    # sources, bit for bit: every R of every code with n <= 8, and the
     # first 10 row sets criterion 4 draws on C(255, 200)
     cases = []
     for n in range(2, 9):
@@ -367,5 +384,7 @@ def test_decoding_matrix_reduction_gives_the_k_row_inverse():
     rng = np.random.default_rng(99)
     cases += [(big, rng.choice(255, size=200, replace=False)) for _ in range(10)]
     for gen, rows in cases:
-        expected = mat_invert(gen.matrix[np.sort(rows)])
-        assert np.array_equal(inverse_through_decoding_matrix(gen, rows), expected), rows
+        rows = np.sort(rows)
+        lost = np.setdiff1d(np.arange(gen.spec.k), rows)
+        d = decoding_matrix(gen, np.setdiff1d(np.arange(gen.spec.n), rows))
+        assert np.array_equal(d[:, rows], mat_invert(gen.matrix[rows])[lost]), rows

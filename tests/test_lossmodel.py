@@ -262,6 +262,9 @@ def test_loss_pmf_normalization_validated():
         LossPmf(CodeSpec(6, 4), np.array([0.5, 0.4, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         LossPmf(CodeSpec(6, 4), np.array([1.5, -0.5, 0.0, 0.0, 0.0]))
+    for probs in ([np.nan] * 5, [np.nan, 1.0, 0.0, 0.0, 0.0]):  # NaN compares false
+        with pytest.raises(ValueError):
+            LossPmf(CodeSpec(6, 4), np.array(probs))
 
 
 def test_plr_report_range_validated():

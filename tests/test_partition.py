@@ -205,3 +205,7 @@ def test_partitioned_calls_need_one_entry_per_half():
         decode_partitioned(ps, coded, gens[:1])
     with pytest.raises(ValueError):
         encode_partitioned(ps, block, gens[:1])
+    # a source block of another code with the same k is not the parent's
+    other = PacketBlock.source(CodeSpec(9, 8), [bytes(8)] * 8)
+    with pytest.raises(ValueError):
+        encode_partitioned(ps, other, gens)
