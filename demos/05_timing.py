@@ -8,7 +8,7 @@ round-robin sweep.  Expect the partitioned timings near half the plain
 ones, and the coefficients to be noise next to the per-byte product work.
 """
 
-from fecpart import BenchConfig, run_bench
+from fecpart.bench import BenchConfig, run_bench
 
 cfg = BenchConfig(k_values=(25, 50, 100), parity=8, packet_size=1500, iterations=50)
 

@@ -4,7 +4,7 @@ Systematic C(n, k) erasure codes over GF(256) at packet granularity, a
 partitioning scheme that halves encode/decode cost by splitting one code
 into two independent halves, an analytic residual-loss model for the
 binary erasure channel with brute-force and Monte-Carlo validators, a
-configuration planner, and a timing harness.
+configuration planner, and a timing harness (`fecpart.bench`).
 """
 
 from .codec import (
@@ -38,7 +38,6 @@ from .planner import (
     min_n_for_target,
     plan,
 )
-from .bench import BenchConfig, BenchPoint, run_bench
 
 __version__ = "0.1.0"
 
@@ -46,8 +45,6 @@ __version__ = "0.1.0"
 # the types those names return; everything else lives in its own module
 __all__ = [
     "BecChannel",
-    "BenchConfig",
-    "BenchPoint",
     "CapacityError",
     "CodeSpec",
     "GeneratorMatrix",
@@ -75,7 +72,6 @@ __all__ = [
     "partitioned_loss_pmf",
     "partitioned_plr",
     "plan",
-    "run_bench",
     "split",
     "__version__",
 ]

@@ -14,7 +14,7 @@ import sys
 
 from .bench import MODES, PHASES, BenchConfig, run_bench, to_csv
 from .codec import CodeSpec, UnrecoverableBlockError
-from .lossmodel import BecChannel, analytic_plr, monte_carlo_plr, partitioned_plr
+from .lossmodel import BecChannel, analytic_plr, monte_carlo_plr
 from .partition import PartitionSpec
 from .planner import PlanRequest, min_n_for_target, distribute_excess, plan
 
@@ -67,37 +67,27 @@ def cmd_plan(args) -> int:
     return _emit_json(payload)
 
 
-def _partition_from_args(args) -> PartitionSpec:
+def _code_from_args(args):
+    """The code the flags describe: C(n, k), or its split with --partition."""
+    if not args.partition:
+        return CodeSpec(args.n, args.k)
     dims = (args.n1, args.k1, args.n2, args.k2)
     if any(d is None for d in dims):
         raise UsageError("--partition requires --n1 --k1 --n2 --k2")
-    parent = CodeSpec(args.n, args.k)
-    first = CodeSpec(args.n1, args.k1)
-    second = CodeSpec(args.n2, args.k2)
-    excess = first.p + second.p - parent.p
-    if excess < 0:
-        raise ValueError(
-            f"halves carry less parity ({first.p + second.p}) than the "
-            f"parent ({parent.p})"
-        )
-    return PartitionSpec(parent=parent, first=first, second=second, excess=excess)
+    return PartitionSpec(
+        parent=CodeSpec(args.n, args.k),
+        first=CodeSpec(args.n1, args.k1),
+        second=CodeSpec(args.n2, args.k2),
+    )
 
 
 def cmd_analyze(args) -> int:
     ch = BecChannel(args.pe)
+    code = _code_from_args(args)
+    payload = {"plr": _sig6(analytic_plr(code, ch).plr), "method": "analytic"}
     if args.partition:
-        ps = _partition_from_args(args)
-        payload = {
-            "plr": _sig6(partitioned_plr(ps, ch).plr),
-            "method": "analytic",
-            "plr1": _sig6(analytic_plr(ps.first, ch).plr),
-            "plr2": _sig6(analytic_plr(ps.second, ch).plr),
-        }
-    else:
-        payload = {
-            "plr": _sig6(analytic_plr(CodeSpec(args.n, args.k), ch).plr),
-            "method": "analytic",
-        }
+        for j, part in enumerate(code.parts, start=1):
+            payload[f"plr{j}"] = _sig6(analytic_plr(part, ch).plr)
     return _emit_json(payload)
 
 
@@ -105,8 +95,7 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     ch = BecChannel(args.pe)
-    code = _partition_from_args(args) if args.partition else CodeSpec(args.n, args.k)
-    report = monte_carlo_plr(code, ch, trials=args.trials, seed=args.seed)
+    report = monte_carlo_plr(_code_from_args(args), ch, trials=args.trials, seed=args.seed)
     return _emit_json(
         {
             "plr": _sig6(report.plr),
@@ -188,24 +177,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--delta", type=float, default=0.001)
     p_plan.set_defaults(func=cmd_plan)
 
-    p_an = sub.add_parser("analyze", help="analytic residual loss rate of a code")
-    p_an.add_argument("--n", type=int, required=True)
-    p_an.add_argument("--k", type=int, required=True)
-    p_an.add_argument("--pe", type=float, required=True)
-    p_an.add_argument("--partition", action="store_true")
+    # the flags that describe one code, plain or split
+    code_flags = argparse.ArgumentParser(add_help=False)
+    code_flags.add_argument("--n", type=int, required=True)
+    code_flags.add_argument("--k", type=int, required=True)
+    code_flags.add_argument("--pe", type=float, required=True)
+    code_flags.add_argument("--partition", action="store_true")
     for flag in ("--n1", "--k1", "--n2", "--k2"):
-        p_an.add_argument(flag, type=int)
+        code_flags.add_argument(flag, type=int)
+
+    p_an = sub.add_parser("analyze", parents=[code_flags],
+                          help="analytic residual loss rate of a code")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo loss rate via the codec")
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--k", type=int, required=True)
-    p_sim.add_argument("--pe", type=float, required=True)
+    p_sim = sub.add_parser("simulate", parents=[code_flags],
+                           help="Monte-Carlo loss rate via the codec")
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--partition", action="store_true")
-    for flag in ("--n1", "--k1", "--n2", "--k2"):
-        p_sim.add_argument(flag, type=int)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("reproduce", help="regenerate the reference datasets")

@@ -10,10 +10,10 @@ positions hypergeometrically.  The residual PLR is the mean of that
 distribution divided by k.
 
 Every code is a tuple of independent parts (`code.parts`): a plain code is
-its own one part, a partitioned code its two halves.  Expected losses add
-over the parts, so a partitioned code's PLR is the parts' PLRs weighted by
-their k; its loss distribution, the convolution of the parts', is needed
-only where a distribution is reported.
+its own one part, a partitioned code its two halves.  Each entry point
+takes either kind of code.  A code's loss distribution is the convolution
+of its parts'; its PLR needs only their means, which add, over the summed
+k of the parts.
 
 Two independent validation paths live alongside the formulas: exact
 brute-force enumeration of every erasure pattern (small n), and a seeded
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CodeSpec, PacketBlock, build_generator, decode, decode_batch, encode
-from .partition import PartitionSpec
 # not called here; perfbench/tracing.py wraps these names on this module
 from .partition import decode_partitioned, encode_partitioned, half_generators  # noqa: F401
 
@@ -103,6 +102,7 @@ def binomial_pmf(n: int, e: int, ch: BecChannel) -> float:
         return 1.0 if e == 0 else 0.0
     if p == 1.0:
         return 1.0 if e == n else 0.0
+    # the direct product is the faster path wherever it cannot underflow
     if n <= _LOG_SPACE_THRESHOLD:
         return math.comb(n, e) * p**e * (1.0 - p) ** (n - e)
     # log space: the direct product underflows long before the mass does
@@ -110,8 +110,8 @@ def binomial_pmf(n: int, e: int, ch: BecChannel) -> float:
     return math.exp(log_comb + e * math.log(p) + (n - e) * math.log1p(-p))
 
 
-def loss_pmf(spec: CodeSpec, ch: BecChannel) -> LossPmf:
-    """Distribution of lost source packets for a plain C(n, k) code."""
+def _lost_sources(spec: CodeSpec, ch: BecChannel) -> np.ndarray:
+    # P(exactly i source packets lost) for one C(n, k) part, i = 0..k
     n, k, p = spec.n, spec.k, spec.p
     probs = np.zeros(k + 1)
     probs[0] = sum(binomial_pmf(n, e, ch) for e in range(p + 1))
@@ -121,41 +121,33 @@ def loss_pmf(spec: CodeSpec, ch: BecChannel) -> LossPmf:
             hyper = math.comb(k, i) * math.comb(p, e - i) / math.comb(n, e)
             total += binomial_pmf(n, e, ch) * hyper
         probs[i] = total
-    return LossPmf(spec, probs)
+    return probs
 
 
-def partitioned_loss_pmf(ps: PartitionSpec, ch: BecChannel) -> LossPmf:
-    """Distribution of lost source packets for a partitioned code.
+def loss_pmf(code, ch: BecChannel) -> LossPmf:
+    """Distribution of lost source packets per block of any code.
 
-    The parts fail independently, so the joint loss count is the
-    convolution of the per-part distributions (np.convolve applies exactly
-    the per-part support bounds).
+    The parts fail independently, so the loss count is the convolution of
+    the per-part distributions (np.convolve applies exactly the per-part
+    support bounds); a plain code is its own one part.
     """
-    pmfs = (loss_pmf(part, ch).probabilities for part in ps.parts)
-    return LossPmf(ps, functools.reduce(np.convolve, pmfs))
+    per_part = (_lost_sources(part, ch) for part in code.parts)
+    return LossPmf(code, functools.reduce(np.convolve, per_part))
 
 
-def analytic_plr(spec: CodeSpec, ch: BecChannel) -> PlrReport:
-    """Residual PLR of a plain code: E[lost sources] / k."""
-    return PlrReport(plr=loss_pmf(spec, ch).mean / spec.k, method="analytic")
+def analytic_plr(code, ch: BecChannel) -> PlrReport:
+    """Residual PLR of any code: E[lost sources] / k.
 
-
-def partitioned_plr(ps: PartitionSpec, ch: BecChannel) -> PlrReport:
-    """Residual PLR of a partitioned code, normalized by the parent k.
-
-    Expected losses add over the independent parts, so this is the parts'
-    PLRs weighted by their k: (k1*PLR1 + k2*PLR2) / k.
+    Expected losses add over the independent parts, so each part's mean
+    comes from its own distribution and no convolution is needed.
     """
-    lost = sum(part.k * analytic_plr(part, ch).plr for part in ps.parts)
-    return PlrReport(plr=lost / ps.parent.k, method="analytic")
+    lost = sum(loss_pmf(part, ch).mean for part in code.parts)
+    return PlrReport(plr=lost / sum(part.k for part in code.parts), method="analytic")
 
 
-def _pattern_weights(erasures: np.ndarray, n: int, p_e: float) -> np.ndarray:
-    if p_e == 0.0:
-        return (erasures == 0).astype(np.float64)
-    if p_e == 1.0:
-        return (erasures == n).astype(np.float64)
-    return p_e**erasures * (1.0 - p_e) ** (n - erasures.astype(np.float64))
+# names kept for callers that read the partitioned code's model by name
+partitioned_loss_pmf = loss_pmf
+partitioned_plr = analytic_plr
 
 
 def brute_force_plr(code, ch: BecChannel) -> PlrReport:
@@ -183,8 +175,9 @@ def brute_force_plr(code, ch: BecChannel) -> PlrReport:
             src_losses = np.bitwise_count(bits & np.uint32((1 << part.k) - 1))
             lost += np.where(e_part > part.p, src_losses, 0)
             shift += part.n
-        erasures = np.bitwise_count(patterns)
-        expected += float(_pattern_weights(erasures, n_total, ch.p_e) @ lost)
+        erasures = np.bitwise_count(patterns).astype(np.float64)
+        weights = ch.p_e**erasures * (1.0 - ch.p_e) ** (n_total - erasures)
+        expected += float(weights @ lost)
     return PlrReport(plr=expected / sum(part.k for part in parts), method="brute_force")
 
 

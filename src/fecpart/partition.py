@@ -30,15 +30,14 @@ from .codec import (
 class PartitionSpec:
     """A parent code split into two independent halves.
 
-    k splits as (ceil(k/2), floor(k/2)) and the parent's parity likewise;
-    `excess` parity packets beyond the parent's p are dealt out alternately
-    starting with the first (larger) half.
+    k splits as (ceil(k/2), floor(k/2)).  The halves' parity beyond the
+    parent's p is the `excess`, derived from the halves and never negative;
+    `split` deals it out alternately, first (larger) half first.
     """
 
     parent: CodeSpec
     first: CodeSpec
     second: CodeSpec
-    excess: int
 
     def __post_init__(self):
         k = self.parent.k
@@ -48,12 +47,15 @@ class PartitionSpec:
                 f"k1={self.first.k} k2={self.second.k}"
             )
         if self.excess < 0:
-            raise ValueError("excess must be >= 0")
-        if self.first.p + self.second.p != self.parent.p + self.excess:
             raise ValueError(
-                f"parity mismatch: p1+p2={self.first.p + self.second.p} != "
-                f"parent p + excess = {self.parent.p + self.excess}"
+                f"halves carry less parity ({self.first.p + self.second.p}) "
+                f"than the parent ({self.parent.p})"
             )
+
+    @property
+    def excess(self) -> int:
+        """Parity packets the halves carry beyond the parent's p."""
+        return self.first.p + self.second.p - self.parent.p
 
     @property
     def parts(self) -> tuple:
@@ -92,7 +94,6 @@ def split(parent: CodeSpec, excess: int = 0) -> PartitionSpec:
         parent=parent,
         first=CodeSpec(k1 + p1, k1),
         second=CodeSpec(k2 + p2, k2),
-        excess=excess,
     )
 
 

@@ -1,10 +1,11 @@
 """Command-line interface: flags, output formats, exit codes."""
 
+import itertools
 import json
 
 import pytest
 
-from fecpart.cli import main
+from fecpart.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -98,6 +99,43 @@ def test_analyze_inconsistent_partition_dimensions(capsys):
                          "--n2", "23", "--k2", "19")
     assert code == 1
     assert out == ""
+
+
+def test_analyze_halves_with_less_parity_is_domain_error(capsys):
+    code, out, err = run(capsys, "analyze", "--n", "48", "--k", "40", "--pe", "0.05",
+                         "--partition", "--n1", "23", "--k1", "20",
+                         "--n2", "24", "--k2", "20")
+    assert code == 1
+    assert out == ""
+    assert "halves carry less parity" in err
+
+
+CODE_ARGV = ("--n", "48", "--k", "40", "--pe", "0.05", "--partition",
+             "--n1", "24", "--k1", "20", "--n2", "24", "--k2", "20")
+CODE_FLAGS = {"n": 48, "k": 40, "pe": 0.05, "partition": True,
+              "n1": 24, "k1": 20, "n2": 24, "k2": 20}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (("analyze", *CODE_ARGV), {}),
+    (("simulate", *CODE_ARGV, "--trials", "100", "--seed", "3"), {"trials": 100, "seed": 3}),
+])
+def test_code_flags_parse_alike_for_analyze_and_simulate(argv, extra):
+    args = vars(build_parser().parse_args(argv))
+    func = args.pop("func")
+    assert func.__name__ == f"cmd_{argv[0]}"
+    assert args == {"command": argv[0], **CODE_FLAGS, **extra}
+    assert all(type(args[name]) is type(value) for name, value in CODE_FLAGS.items())
+
+
+@pytest.mark.parametrize("command", [("analyze",), ("simulate", "--trials", "5")])
+@pytest.mark.parametrize("missing", ["--n", "--k", "--pe"])
+def test_code_flags_required_alike(command, missing):
+    flags = {"--n": "44", "--k": "40", "--pe": "0.01"}
+    del flags[missing]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*command, *itertools.chain(*flags.items())])
+    assert exc.value.code == 2
 
 
 def test_analyze_partition_missing_dims_is_usage_error(capsys):

@@ -23,6 +23,7 @@ from fecpart.lossmodel import (
     partitioned_plr,
 )
 from fecpart.partition import split
+from fecpart.planner import min_n_for_target
 
 from fig2_golden import FIG2_K_RANGE, FIG2_PE_VALUES
 
@@ -141,8 +142,7 @@ def test_partitioned_pmf_no_erasures():
 
 def test_partitioned_pmf_symmetric_halves_swap_invariant():
     ps = split(CodeSpec(12, 8))
-    swapped = type(ps)(parent=ps.parent, first=ps.second, second=ps.first,
-                       excess=ps.excess)
+    swapped = type(ps)(parent=ps.parent, first=ps.second, second=ps.first)
     ch = BecChannel(0.2)
     assert np.allclose(
         partitioned_loss_pmf(ps, ch).probabilities,
@@ -213,6 +213,46 @@ def test_partitioned_plr_equals_weighted_half_average():
                     rel_tol=1e-9,
                     abs_tol=1e-12,
                 ), (p_e, k, excess)
+
+
+def test_analytic_entry_points_take_either_kind_of_code():
+    assert lossmodel.partitioned_loss_pmf is loss_pmf
+    assert lossmodel.partitioned_plr is analytic_plr
+    ch = BecChannel(0.15)
+    ps = split(CodeSpec(11, 7), 1)
+    plr = analytic_plr(ps, ch).plr
+    assert plr == pytest.approx(partitioned_plr(ps, ch).plr, abs=1e-12)
+    assert plr == pytest.approx(brute_force_plr(ps, ch).plr, abs=1e-12)
+    convolved = np.convolve(loss_pmf(ps.first, ch).probabilities,
+                            loss_pmf(ps.second, ch).probabilities)
+    assert np.array_equal(loss_pmf(ps, ch).probabilities, convolved)
+    spec = CodeSpec(12, 7)
+    assert partitioned_plr(spec, ch) == analytic_plr(spec, ch)
+
+
+def exact_plr(n, k, p_e):
+    """PLR from exact rationals: (1/n) * sum over e > p of e * P(e erasures).
+
+    A block with e > p erasures loses its erased sources, k/n of them on
+    average, so E[lost] / k is the sum below over n.
+    """
+    p_e = Fraction(p_e)
+    lost = sum(e * math.comb(n, e) * p_e**e * (1 - p_e) ** (n - e)
+               for e in range(n - k + 1, n + 1))
+    return lost / n
+
+
+@pytest.mark.parametrize("n", [207, 213, 214])
+def test_plr_log_space_branch_where_direct_product_underflows(n):
+    # these PLRs lie near 1e-264..1e-283, where p_e**e underflows to 0 in
+    # the direct product but not in log space
+    got = analytic_plr(CodeSpec(n, 100), BecChannel(0.001)).plr
+    assert got > 0.0
+    assert math.isclose(got, float(exact_plr(n, 100, 0.001)), rel_tol=1e-9)
+
+
+def test_min_n_finds_the_exact_answer_below_the_direct_products_range():
+    assert min_n_for_target(100, BecChannel(0.001), 1e-280).n == 214
 
 
 def test_brute_force_trivial_channels():

@@ -7,7 +7,9 @@ full benchmark run fails.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -71,3 +73,14 @@ def test_demo_and_readme_imports_resolve(fresh_fecpart):
     imported = set().union(*(_imported_from_fecpart(src) for src in sources))
     assert imported, "no `from fecpart import` found in the demos or README"
     assert sorted(name for name in imported if not hasattr(fresh_fecpart, name)) == []
+
+
+def test_package_import_leaves_out_the_timing_harness_and_cli():
+    probe = "import sys, fecpart; print(sorted(m for m in sys.modules if m.startswith('fecpart')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    loaded = ast.literal_eval(out)
+    assert "fecpart.codec" in loaded
+    assert "fecpart.bench" not in loaded and "fecpart.cli" not in loaded

@@ -1,5 +1,6 @@
 """Code partitioning: the split rule and partitioned encode/decode."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -82,11 +83,18 @@ def test_split_rejects_negative_excess():
 def test_partition_spec_validates_shape():
     parent = CodeSpec(48, 40)
     with pytest.raises(ValueError):
-        PartitionSpec(parent, CodeSpec(25, 21), CodeSpec(23, 19), 0)
-    with pytest.raises(ValueError):
-        PartitionSpec(parent, CodeSpec(24, 20), CodeSpec(24, 20), 1)  # parity mismatch
-    with pytest.raises(ValueError):
-        PartitionSpec(parent, CodeSpec(26, 20), CodeSpec(24, 20), -1)
+        PartitionSpec(parent, CodeSpec(25, 21), CodeSpec(23, 19))
+    with pytest.raises(ValueError, match="halves carry less parity"):
+        PartitionSpec(parent, CodeSpec(23, 20), CodeSpec(24, 20))
+
+
+def test_partition_spec_derives_excess_from_its_halves():
+    fields = tuple(f.name for f in dataclasses.fields(PartitionSpec))
+    assert fields == ("parent", "first", "second")
+    assert isinstance(vars(PartitionSpec)["excess"], property)
+    parent = CodeSpec(48, 40)
+    assert PartitionSpec(parent, CodeSpec(24, 20), CodeSpec(24, 20)).excess == 0
+    assert PartitionSpec(parent, CodeSpec(26, 20), CodeSpec(25, 20)).excess == 3
 
 
 def test_encode_partitioned_mac_count():
