@@ -51,6 +51,8 @@ def cmd_plan(args) -> int:
         "p": result.spec.p,
         "plr": _sig6(result.plr),
         "ri": _sig6(result.ri),
+        "witness_plr": None if result.witness_plr is None else _sig6(result.witness_plr),
+        "n_scanned": result.n_scanned,
     }
     if result.partition is not None:
         ps = result.partition.ps

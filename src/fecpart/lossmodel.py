@@ -9,6 +9,11 @@ max(p+1, i) <= e <= p+i, with the i losses placed among the k source
 positions hypergeometrically.  The residual PLR is the mean of that
 distribution divided by k.
 
+The sum has O(k·p) (i, e) terms but only n+1 distinct erasure counts: the
+binomial masses P(e), e = 0..n, and the coefficients C(n, e), C(p, d) are
+computed once per code, C(k, i) once per i, and each term is just their
+product, so a code's distribution costs n+1 `binomial_pmf` calls.
+
 Every code is a tuple of independent parts (`code.parts`): a plain code is
 its own one part, a partitioned code its two halves.  Each entry point
 takes either kind of code.  A code's loss distribution is the convolution
@@ -111,15 +116,24 @@ def binomial_pmf(n: int, e: int, ch: BecChannel) -> float:
 
 
 def _lost_sources(spec: CodeSpec, ch: BecChannel) -> np.ndarray:
-    # P(exactly i source packets lost) for one C(n, k) part, i = 0..k
+    # P(exactly i source packets lost) for one C(n, k) part, i = 0..k.
+    # Per code: the n+1 erasure-count probabilities and the C(n, e) and
+    # C(p, d) tables; per i: C(k, i); per (i, e) term: only the products,
+    # taken in the per-term formula's order and summed in its order, so
+    # every probability is the same float as that formula's (the tests
+    # keep it as the reference).
     n, k, p = spec.n, spec.k, spec.p
+    pmf = [binomial_pmf(n, e, ch) for e in range(n + 1)]
+    comb_n = [math.comb(n, e) for e in range(n + 1)]
+    comb_p = [math.comb(p, d) for d in range(p + 1)]
     probs = np.zeros(k + 1)
-    probs[0] = sum(binomial_pmf(n, e, ch) for e in range(p + 1))
+    probs[0] = sum(pmf[: p + 1])
     for i in range(1, k + 1):
+        comb_ki = math.comb(k, i)
         total = 0.0
         for e in range(max(p + 1, i), p + i + 1):
-            hyper = math.comb(k, i) * math.comb(p, e - i) / math.comb(n, e)
-            total += binomial_pmf(n, e, ch) * hyper
+            hyper = comb_ki * comb_p[e - i] / comb_n[e]
+            total += pmf[e] * hyper
         probs[i] = total
     return probs
 

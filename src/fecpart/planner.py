@@ -2,13 +2,15 @@
 
 Two searches: the smallest n whose C(n, k) code meets a PLR target on a
 given channel (PLR is monotone in n, so a linear upward scan finds the
-minimum and yields the n-1 witness for free), and the number of excess
+minimum and yields the n-1 witness for free; `plan` reports both the
+witness's PLR and the number of n scanned), and the number of excess
 parity packets a partitioned code needs before its PLR comes within a
 tolerance delta of the unpartitioned code's.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .codec import MAX_CODE_LENGTH, CodeSpec
@@ -18,6 +20,18 @@ from .partition import PartitionSpec, split, split_shape
 
 class CapacityError(ValueError):
     """The search ran into the GF(256) codeword-length limit."""
+
+
+def _block_length(k) -> int:
+    # an integer k that leaves room for at least one parity packet in the
+    # field, checked as CodeSpec checks its sizes
+    k = operator.index(k)
+    if not 1 <= k <= MAX_CODE_LENGTH - 1:
+        raise ValueError(
+            f"k={k} is outside 1..{MAX_CODE_LENGTH - 1}: a code needs "
+            f"n = k + p <= {MAX_CODE_LENGTH} (the GF(256) limit) and p >= 1"
+        )
+    return k
 
 
 @dataclass(frozen=True)
@@ -31,6 +45,7 @@ class PlanRequest:
     partition: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _block_length(self.k))
         if not 0.0 < self.plr_target < 1.0:
             raise ValueError(f"plr_target must be in (0, 1), got {self.plr_target}")
         if not self.delta > 0.0:  # NaN fails this too
@@ -54,22 +69,31 @@ class PlanResult:
     spec: CodeSpec
     plr: float
     ri: float  # redundancy ratio p/k, reporting only
+    # PLR of the witness C(n-1, k), which misses the target; None if n = k+1
+    witness_plr: float | None
+    n_scanned: int  # codes the n-scan evaluated, n = k+1 .. spec.n
     partition: PartitionPlan | None = None
 
 
-def min_n_for_target(k: int, ch: BecChannel, plr_target: float) -> CodeSpec:
+def min_n_for_target(
+    k: int, ch: BecChannel, plr_target: float, *, plrs: list | None = None
+) -> CodeSpec:
     """Smallest n > k whose C(n, k) code has PLR <= plr_target on `ch`.
 
     Scans upward from n = k+1; the first hit is minimal because adding a
     parity packet never increases the PLR.  Raises CapacityError if no n
-    within the field bound reaches the target.
+    within the field bound reaches the target.  If `plrs` is given, the
+    PLR of every scanned n is appended to it in scan order, so the last
+    entry is the result's and the one before it the witness's.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _block_length(k)
     if ch.p_e >= 1.0:
         raise CapacityError("every packet is erased; no code can meet a target")
     for n in range(k + 1, MAX_CODE_LENGTH + 1):
-        if analytic_plr(CodeSpec(n, k), ch).plr <= plr_target:
+        plr = analytic_plr(CodeSpec(n, k), ch).plr
+        if plrs is not None:
+            plrs.append(plr)
+        if plr <= plr_target:
             return CodeSpec(n, k)
     raise CapacityError(
         f"no n <= {MAX_CODE_LENGTH} meets PLR <= {plr_target} for k={k}, "
@@ -115,11 +139,22 @@ def distribute_excess(parent: CodeSpec, ch: BecChannel, delta: float) -> Partiti
 
 
 def plan(req: PlanRequest) -> PlanResult:
-    """Pick the minimal code for `req`, partitioning it if requested."""
-    spec = min_n_for_target(req.k, req.ch, req.plr_target)
-    plr = analytic_plr(spec, req.ch).plr
+    """Pick the minimal code for `req`, partitioning it if requested.
+
+    The code's PLR, the witness's and the scan length all come from the
+    one n-scan.
+    """
+    plrs = []
+    spec = min_n_for_target(req.k, req.ch, req.plr_target, plrs=plrs)
     partition = None
     if req.partition:
         ps = distribute_excess(spec, req.ch, req.delta)
         partition = PartitionPlan(ps=ps, plr=partitioned_plr(ps, req.ch).plr)
-    return PlanResult(spec=spec, plr=plr, ri=spec.p / spec.k, partition=partition)
+    return PlanResult(
+        spec=spec,
+        plr=plrs[-1],
+        ri=spec.p / spec.k,
+        witness_plr=plrs[-2] if len(plrs) > 1 else None,
+        n_scanned=len(plrs),
+        partition=partition,
+    )

@@ -54,6 +54,25 @@ def test_plan_unreachable_target_is_domain_error(capsys):
     assert "error" in err
 
 
+def test_plan_k_without_room_for_parity_is_domain_error(capsys):
+    code, out, err = run(capsys, "plan", "--k", "255", "--pe", "0.1")
+    assert code == 1
+    assert out == ""
+    assert "k=255 is outside 1..254" in err and "GF(256) limit" in err
+
+
+def test_plan_prints_the_witness(capsys):
+    code, out, _ = run(capsys, "plan", "--k", "40", "--pe", "0.09",
+                       "--plr-target", "1e-5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n_scanned"] == 15  # n = 41 .. 55
+    assert payload["witness_plr"] > 1e-5 >= payload["plr"]
+    code, out, _ = run(capsys, "plan", "--k", "40", "--pe", "0")
+    payload = json.loads(out)
+    assert (payload["witness_plr"], payload["n_scanned"]) == (None, 1)
+
+
 def test_plan_missing_flags_is_usage_error(capsys):
     assert main(["plan", "--pe", "0.1"]) == 2
 

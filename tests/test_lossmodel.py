@@ -105,6 +105,50 @@ def test_loss_pmf_matches_enumeration(n, k, p_e):
     assert got.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def lost_sources_per_term(spec, ch):
+    """The loss distribution as one formula per (i, e) term, reference only.
+
+    Evaluates the binomial mass and every binomial coefficient afresh for
+    each term; `loss_pmf` takes them from per-code tables and must give the
+    same floats, to the bit.
+    """
+    n, k, p = spec.n, spec.k, spec.p
+    probs = np.zeros(k + 1)
+    probs[0] = sum(binomial_pmf(n, e, ch) for e in range(p + 1))
+    for i in range(1, k + 1):
+        total = 0.0
+        for e in range(max(p + 1, i), p + i + 1):
+            hyper = math.comb(k, i) * math.comb(p, e - i) / math.comb(n, e)
+            total += binomial_pmf(n, e, ch) * hyper
+        probs[i] = total
+    return probs
+
+
+# n <= 60 takes binomial_pmf's direct product, n > 60 its log space
+@pytest.mark.parametrize("n", [2, 13, 60, 61, 108, 255])
+@pytest.mark.parametrize("p_e", [0.0, 1.0, 1e-4, 0.02, 0.5])
+def test_loss_pmf_bit_identical_to_per_term_formula(n, p_e):
+    ch = BecChannel(p_e)
+    for k in sorted({1, n // 2 or 1, n - 1}):
+        spec = CodeSpec(n, k)
+        got = loss_pmf(spec, ch).probabilities
+        assert np.array_equal(got, lost_sources_per_term(spec, ch)), (n, k, p_e)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (44, 40), (108, 100), (255, 128)])
+def test_loss_pmf_evaluates_each_erasure_count_once(monkeypatch, n, k):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return binomial_pmf(*args)
+
+    monkeypatch.setattr(lossmodel, "binomial_pmf", counted)
+    loss_pmf(CodeSpec(n, k), BecChannel(0.02))
+    assert len(calls) <= n + 1
+    assert sorted(set(calls)) == list(range(n + 1))
+
+
 def test_plr_zero_channel():
     assert analytic_plr(CodeSpec(44, 40), BecChannel(0.0)).plr == 0.0
 

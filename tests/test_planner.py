@@ -1,5 +1,6 @@
 """Configuration planner: minimal-n search and excess distribution."""
 
+import numpy as np
 import pytest
 
 from fecpart.codec import CodeSpec
@@ -133,6 +134,36 @@ def test_plan_request_validation():
     for delta in (0.0, float("nan")):
         with pytest.raises(ValueError):
             PlanRequest(k=40, ch=BecChannel(0.1), delta=delta)
+
+
+def test_plan_request_checks_k_against_the_field_limit():
+    # k = 255 left no room for parity: it used to end in a CapacityError
+    # that blamed the loss target
+    for k in (0, -3, 255, 300):
+        with pytest.raises(ValueError, match="1..254") as info:
+            PlanRequest(k=k, ch=BecChannel(0.1))
+        assert not isinstance(info.value, CapacityError)
+    with pytest.raises(TypeError):
+        PlanRequest(k=10.5, ch=BecChannel(0.1))
+    assert PlanRequest(k=254, ch=BecChannel(0.0)).k == 254
+    assert type(PlanRequest(k=np.int64(40), ch=BecChannel(0.1)).k) is int
+
+
+def test_plan_reports_the_witness_from_its_scan():
+    for k, p_e, target in ((40, 0.09, 1e-5), (80, 0.07, 1e-6), (20, 0.3, 1e-3)):
+        ch = BecChannel(p_e)
+        result = plan(PlanRequest(k=k, ch=ch, plr_target=target))
+        n = result.spec.n
+        assert result.n_scanned == n - k
+        assert result.plr == analytic_plr(result.spec, ch).plr
+        assert result.witness_plr == analytic_plr(CodeSpec(n - 1, k), ch).plr
+        assert result.witness_plr > target
+
+
+def test_plan_witness_is_none_for_the_smallest_code():
+    result = plan(PlanRequest(k=40, ch=BecChannel(0.0)))
+    assert result.spec == CodeSpec(41, 40)
+    assert (result.witness_plr, result.n_scanned) == (None, 1)
 
 
 def test_excess_grid_matches_golden_data():
