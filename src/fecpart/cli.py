@@ -56,16 +56,11 @@ def cmd_plan(args) -> int:
     }
     if result.partition is not None:
         ps = result.partition.ps
-        payload["partition"] = {
-            "n1": ps.first.n,
-            "k1": ps.first.k,
-            "p1": ps.first.p,
-            "n2": ps.second.n,
-            "k2": ps.second.k,
-            "p2": ps.second.p,
-            "excess": ps.excess,
-            "plr_part": _sig6(result.partition.plr),
-        }
+        parts = {}
+        for j, part in enumerate(ps.parts, start=1):
+            parts.update({f"n{j}": part.n, f"k{j}": part.k, f"p{j}": part.p})
+        plr_part = _sig6(result.partition.plr)
+        payload["partition"] = {**parts, "excess": ps.excess, "plr_part": plr_part}
     return _emit_json(payload)
 
 

@@ -13,10 +13,12 @@ coefficients, and nothing here inverts a matrix.
 Per byte position, encoding costs exactly p*k symbol multiply-accumulates
 and erasure decoding e*k (e = number of lost source packets), each one
 GF(256) matrix product (`gf256.mat_mul`).  `decode_batch` recovers a batch
-of blocks, one product per erased-source count; `decode` is its one-block
-case for a PacketBlock.  Each call adds its exact count to the module-level
-`mac_counter` in one step, so tests and benchmarks can verify the
-arithmetic cost rather than trust the O() claim.
+of blocks, one product per erased-source count; `decode` shares its
+coefficients and joins only the k slots they read from one PacketBlock
+(`PacketBlock.rows`, the one packets-to-array conversion), never an erased
+one.  Each call adds its exact count to the module-level `mac_counter` in
+one step, so tests and benchmarks can verify the arithmetic cost rather
+than trust the O() claim.
 """
 
 from __future__ import annotations
@@ -171,6 +173,15 @@ class PacketBlock:
         )
         return PacketBlock(self.spec, self.packet_size, packets)
 
+    def rows(self, indices) -> np.ndarray:
+        """The packets in the given slots, in order, as a read-only uint8 array.
+
+        Its shape is (len(indices), packet_size); this is the package's one
+        packets-to-array conversion.  Raises TypeError on an erased slot.
+        """
+        joined = b"".join([self.packets[i] for i in indices])
+        return np.frombuffer(joined, dtype=np.uint8).reshape(len(indices), self.packet_size)
+
     @property
     def present_indices(self) -> list:
         return [i for i, pkt in enumerate(self.packets) if pkt is not None]
@@ -230,12 +241,6 @@ def build_generator(spec: CodeSpec) -> GeneratorMatrix:
     return GeneratorMatrix(spec, matrix, log_sums)
 
 
-def _stack(packets, indices, size: int) -> np.ndarray:
-    # the chosen packets as the rows of one (len(indices), size) uint8 array
-    joined = b"".join([packets[i] for i in indices])
-    return np.frombuffer(joined, dtype=np.uint8).reshape(len(indices), size)
-
-
 def encode(gen: GeneratorMatrix, source: PacketBlock) -> PacketBlock:
     """Encode k source packets into n packets (sources + parity).
 
@@ -249,7 +254,7 @@ def encode(gen: GeneratorMatrix, source: PacketBlock) -> PacketBlock:
         raise ValueError(f"source block of {source.spec} given to the encoder of {spec}")
     if len(source.packets) != spec.k or None in source.packets:
         raise ValueError(f"encode needs exactly {spec.k} present source packets")
-    sources = _stack(source.packets, range(spec.k), source.packet_size)
+    sources = source.rows(range(spec.k))
     parity = mat_mul(gen.parity_rows, sources)
     mac_counter.per_byte += spec.p * spec.k
     return PacketBlock(
@@ -297,15 +302,6 @@ def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
     return matrix
 
 
-def _solve(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray, e: int) -> tuple:
-    # the erasure solve for (B, n, L) blocks that each erase e sources:
-    # their erased source columns, (B, e), and those sources, (B, e, L)
-    lost, nodes, coefficients = _coefficients(gen, erased, e)
-    picked = received[np.arange(len(received))[:, None], nodes]
-    mac_counter.per_byte += len(received) * e * gen.spec.k
-    return lost, mat_mul(coefficients, picked)
-
-
 def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray) -> np.ndarray:
     """Recover the sources of B coded blocks at once.
 
@@ -318,8 +314,9 @@ def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray)
     erased sources are the values at their points of the polynomial that its
     kept sources and first e surviving parity packets interpolate: a group
     gets those Lagrange coefficients in closed form (the rows of
-    `decoding_matrix`) and recovers its sources with one batched product,
-    e*k MACs per byte per block, added to `mac_counter`.
+    `decoding_matrix`), gathers from each block only the k slots they read,
+    and recovers its sources with one batched product, e*k MACs per byte
+    per block, added to `mac_counter`.
     """
     spec = gen.spec
     k = spec.k
@@ -336,8 +333,9 @@ def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray)
     counts = erased[:, :k].sum(axis=1)
     for e in np.unique(counts[counts > 0]).tolist():
         group = np.flatnonzero(counts == e)
-        cols, lost = _solve(gen, received[group], erased[group], e)
-        sources[group[:, None], cols] = lost
+        lost, nodes, coefficients = _coefficients(gen, erased[group], e)
+        sources[group[:, None], lost] = mat_mul(coefficients, received[group[:, None], nodes])
+        mac_counter.per_byte += len(group) * e * k
     return sources
 
 
@@ -345,8 +343,10 @@ def decode(gen: GeneratorMatrix, received: PacketBlock) -> list:
     """Recover the k source packets from any >= k received packets.
 
     If every source packet survived they are returned as-is with no matrix
-    work.  Otherwise the block goes through the solve of `decode_batch` as
-    a batch of one, at e*k MACs per byte (e = number of lost sources); the
+    work.  Otherwise only the k slots that `decode_batch`'s coefficients
+    read (the kept sources, then the first e surviving parity) are joined,
+    for one product at e*k MACs per byte (e = number of lost sources).  An
+    erased slot holds None, so a solve that reached one would raise.  The
     surviving sources are returned as the same objects.
 
     Raises ValueError if the block is not a coded block of `gen`'s code and
@@ -366,13 +366,11 @@ def decode(gen: GeneratorMatrix, received: PacketBlock) -> list:
     if not missing_src:
         return list(packets[:k])
 
-    zeros = bytes(received.packet_size)
-    joined = b"".join([zeros if pkt is None else pkt for pkt in packets])
-    block = np.frombuffer(joined, dtype=np.uint8).reshape(1, spec.n, -1)
     erased = np.zeros((1, spec.n), dtype=bool)
     erased[0, missing] = True
-    _, lost = _solve(gen, block, erased, len(missing_src))
-    recovered = iter(lost[0])
+    _, nodes, coefficients = _coefficients(gen, erased, len(missing_src))
+    recovered = iter(mat_mul(coefficients[0], received.rows(nodes[0].tolist())))
+    mac_counter.per_byte += len(missing_src) * k
     return [
         pkt if pkt is not None else next(recovered).tobytes() for pkt in packets[:k]
     ]

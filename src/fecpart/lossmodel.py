@@ -24,7 +24,8 @@ Two independent validation paths live alongside the formulas: exact
 brute-force enumeration of every erasure pattern (small n), and a seeded
 Monte-Carlo driver that pushes real packets through the actual codec, part
 by part: each part's distinct erasure patterns go through the codec's
-batched erasure solve, the one `decode` runs, a chunk per call.
+batched erasure solve (`decode_batch`, whose coefficients `decode` shares),
+a chunk per call, and one of them through `decode` as well.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def _verify_patterns(part: CodeSpec, packed: np.ndarray, rng) -> None:
     gen = build_generator(part)
     payloads = _random_payloads(rng, part.k)
     coded = encode(gen, PacketBlock.source(part, payloads))
-    block = np.frombuffer(b"".join(coded.packets), dtype=np.uint8).reshape(part.n, -1)
+    block = coded.rows(range(part.n))
     for start in range(0, len(packed), _SOLVE_CHUNK):
         erased = np.unpackbits(packed[start : start + _SOLVE_CHUNK], axis=1, count=part.n)
         erased = erased.view(bool)
@@ -216,7 +217,7 @@ def _verify_patterns(part: CodeSpec, packed: np.ndarray, rng) -> None:
             idx = np.flatnonzero(erased[wrong[0]]).tolist()
             raise AssertionError(f"decode of {part} corrupted data for pattern {idx}")
     # the first pattern also takes the packet path (PacketBlock in, bytes
-    # out) of `decode`, which packs it for the same solve
+    # out) of `decode`, which shares the batched solve's coefficients
     idx = np.flatnonzero(np.unpackbits(packed[0], count=part.n)).tolist()
     if decode(gen, coded.erase(idx)) != list(payloads):
         raise AssertionError(f"decode of {part} corrupted data for pattern {idx}")

@@ -120,7 +120,7 @@ def encode_partitioned(
     coded, offset = [], 0
     for part, gen in zip(ps.parts, gens, strict=True):
         packets = source.packets[offset : offset + part.k]
-        coded.append(encode(gen, PacketBlock.source(part, packets)))
+        coded.append(encode(gen, PacketBlock(part, source.packet_size, packets)))
         offset += part.k
     return tuple(coded)
 

@@ -46,6 +46,8 @@ class PlanRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _block_length(self.k))
+        if self.partition and self.k < 2:
+            raise ValueError(f"a two-way split needs k >= 2, got k={self.k}")
         if not 0.0 < self.plr_target < 1.0:
             raise ValueError(f"plr_target must be in (0, 1), got {self.plr_target}")
         if not self.delta > 0.0:  # NaN fails this too

@@ -61,6 +61,13 @@ def test_plan_k_without_room_for_parity_is_domain_error(capsys):
     assert "k=255 is outside 1..254" in err and "GF(256) limit" in err
 
 
+def test_plan_partition_of_one_source_is_domain_error(capsys):
+    code, out, err = run(capsys, "plan", "--k", "1", "--pe", "0.05", "--partition")
+    assert code == 1
+    assert out == ""
+    assert "two-way split needs k >= 2" in err
+
+
 def test_plan_prints_the_witness(capsys):
     code, out, _ = run(capsys, "plan", "--k", "40", "--pe", "0.09",
                        "--plr-target", "1e-5")

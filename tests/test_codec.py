@@ -168,6 +168,51 @@ def test_packet_block_erase_and_indices():
     assert block.erase(np.array([1, 5])).missing_indices == [1, 5]  # numpy ints pass
 
 
+def test_packet_block_rows_in_the_given_order():
+    spec = CodeSpec(6, 4)
+    gen = build_generator(spec)
+    block = encode(gen, PacketBlock.source(spec, random_payloads(np.random.default_rng(3), 4, size=5)))
+    for indices in ([5, 0, 3], range(6), np.array([2, 2]), []):
+        rows = block.rows(indices)
+        assert rows.dtype == np.uint8 and rows.shape == (len(indices), 5)
+        assert [row.tobytes() for row in rows] == [block.packets[i] for i in indices]
+        assert not rows.flags.writeable
+    with pytest.raises(TypeError):  # an erased slot holds no packet to read
+        block.erase([3]).rows([0, 3])
+
+
+def test_decode_never_reads_an_erased_slot(monkeypatch):
+    # hand the solve an erased slot in place of a kept one: the join of the
+    # slots it reads must raise, not stand in zeros and return wrong bytes
+    spec = CodeSpec(8, 5)
+    gen = build_generator(spec)
+    block = encode(gen, PacketBlock.source(spec, random_payloads(np.random.default_rng(4), 5)))
+    real_coefficients = codec_mod._coefficients
+
+    def misread(gen, erased, e):
+        lost, nodes, coefficients = real_coefficients(gen, erased, e)
+        nodes = nodes.copy()
+        nodes[0, 0] = lost[0, 0]
+        return lost, nodes, coefficients
+
+    monkeypatch.setattr(codec_mod, "_coefficients", misread)
+    with pytest.raises(TypeError):
+        decode(gen, block.erase([1, 6]))
+
+
+def test_decode_returns_surviving_sources_as_received():
+    # a lossy decode copies only what it recovers: every surviving source
+    # is the very object the block carried
+    spec = CodeSpec(12, 8)
+    gen = build_generator(spec)
+    block = encode(gen, PacketBlock.source(spec, random_payloads(np.random.default_rng(5), 8)))
+    for pattern in ([0], [2, 7, 9], [1, 3, 4, 6]):
+        received = block.erase(pattern)
+        decoded = decode(gen, received)
+        assert decoded == list(block.packets[: spec.k])
+        assert all(decoded[i] is received.packets[i] for i in received.present_indices if i < spec.k)
+
+
 def test_decode_fast_path_performs_no_inversion(monkeypatch):
     spec = CodeSpec(6, 4)
     gen = build_generator(spec)
@@ -308,7 +353,7 @@ def test_decode_rejects_block_of_another_code():
 
 def coded_array(gen, payloads):
     block = encode(gen, PacketBlock.source(gen.spec, payloads))
-    return np.frombuffer(b"".join(block.packets), dtype=np.uint8).reshape(gen.spec.n, -1)
+    return block.rows(range(gen.spec.n))
 
 
 def test_decode_batch_matches_decode_per_block():

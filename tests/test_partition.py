@@ -6,7 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
-from fecpart.codec import CodeSpec, PacketBlock, UnrecoverableBlockError, encode, mac_counter
+from fecpart.codec import (
+    CodeSpec,
+    PacketBlock,
+    UnrecoverableBlockError,
+    build_generator,
+    encode,
+    mac_counter,
+)
 from fecpart.partition import (
     PartitionSpec,
     decode_partitioned,
@@ -197,6 +204,17 @@ def test_encode_partitioned_first_half_gets_leading_packets():
     coded = encode_partitioned(ps, block)
     assert list(coded[0].packets[: ps.first.k]) == payloads[: ps.first.k]
     assert list(coded[1].packets[: ps.second.k]) == payloads[ps.first.k:]
+
+
+def test_encode_partitioned_needs_a_full_source_block():
+    # the parent's coded block, or a source block with an erased slot, is
+    # refused before either half is encoded
+    ps = split(CodeSpec(12, 8))
+    block, _ = source_block(ps, np.random.default_rng(10), size=8)
+    coded = encode(build_generator(ps.parent), block)
+    for bad in (coded, block.erase([5])):
+        with pytest.raises(ValueError, match="need exactly 8 present source packets"):
+            encode_partitioned(ps, bad)
 
 
 def test_partitioned_calls_need_one_entry_per_half():

@@ -149,6 +149,16 @@ def test_plan_request_checks_k_against_the_field_limit():
     assert type(PlanRequest(k=np.int64(40), ch=BecChannel(0.1)).k) is int
 
 
+def test_plan_request_rejects_a_partition_of_one_source():
+    # k = 1 has no two-way split: the request is refused before any n-scan
+    for k in (1, np.int64(1)):
+        with pytest.raises(ValueError, match="two-way split needs k >= 2"):
+            PlanRequest(k=k, ch=BecChannel(0.05), partition=True)
+    assert PlanRequest(k=1, ch=BecChannel(0.05)).k == 1
+    result = plan(PlanRequest(k=2, ch=BecChannel(0.05), partition=True))
+    assert result.partition.ps.parts == (CodeSpec(3, 1), CodeSpec(3, 1))
+
+
 def test_plan_reports_the_witness_from_its_scan():
     for k, p_e, target in ((40, 0.09, 1e-5), (80, 0.07, 1e-6), (20, 0.3, 1e-3)):
         ch = BecChannel(p_e)
