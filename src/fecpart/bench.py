@@ -9,10 +9,10 @@ call only (`encode`/`decode` plain, `encode_partitioned`/
 `decode_partitioned` partitioned): generator construction, payload
 allocation and RNG all happen outside.
 Decode is timed in its worst case, every erasure hitting a source packet
-(dealt over the code's parts).  The "invert" phase times, for that case,
-the decoder's closed-form stand-in for an inversion: `decoding_matrix`,
-its row selection and coefficients, touching no payload.  Comparisons
-should always be ratios of points from the same run on one machine.
+(dealt over the code's parts).  The "invert" phase times, on those same
+erasures, the decoder's closed-form stand-in for an inversion: the step
+`codec._coefficients` of each part that loses a source, touching no
+payload.  Compare only ratios of points from one run on one machine.
 
 Measurement is strictly single-threaded: time one process, one thread, and
 nothing concurrent.
@@ -28,9 +28,9 @@ import numpy as np
 from .codec import (
     CodeSpec,
     PacketBlock,
+    _coefficients,
     build_generator,
     decode,
-    decoding_matrix,
     encode,
 )
 from .partition import decode_partitioned, encode_partitioned, split
@@ -139,35 +139,38 @@ def _encode_call(cfg: BenchConfig, k: int, mode: str):
     return lambda: encode_partitioned(code, source, gens)
 
 
-def _worst_case(code, coded: tuple, e: int) -> tuple:
-    # every erasure hits a source packet: the e erasures are dealt over the
-    # parts first part first, part j of m taking (e+m-1-j)//m, capped at its k
-    m = len(code.parts)
-    return tuple(
-        block.erase(range(min((e + m - 1 - j) // m, part.k)))
-        for j, (part, block) in enumerate(zip(code.parts, coded, strict=True))
-    )
+def _worst_case(cfg: BenchConfig, code) -> tuple:
+    # every erasure hits a source packet: the erasures are dealt over the
+    # parts first part first, part j of m taking (e+m-1-j)//m, capped at its
+    # k; each part loses the sources in its first that many slots
+    e, m = cfg.erasures, len(code.parts)
+    return tuple(min((e + m - 1 - j) // m, part.k) for j, part in enumerate(code.parts))
 
 
 def _decode_call(cfg: BenchConfig, k: int, mode: str):
     spec, code, gens = _code(cfg, k, mode)
     source = _source_block(cfg, spec)
+    lost = _worst_case(cfg, code)
     if mode == "plain":
         (gen,) = gens
-        (rx,) = _worst_case(code, (encode(gen, source),), cfg.erasures)
+        rx = encode(gen, source).erase(range(lost[0]))
         return lambda: decode(gen, rx)
-    received = _worst_case(code, encode_partitioned(code, source, gens), cfg.erasures)
+    coded = encode_partitioned(code, source, gens)
+    received = tuple(block.erase(range(e)) for block, e in zip(coded, lost, strict=True))
     return lambda: decode_partitioned(code, received, gens)
 
 
 def _invert_call(cfg: BenchConfig, k: int, mode: str):
-    # each part's recovery matrix for as many source erasures as it repairs
+    # the coefficient step of each part's decode, on its one-row erasure
+    # mask; a part that loses no source takes decode's fast path and no step
     _, code, gens = _code(cfg, k, mode)
-    blocks = [(gen, range(min(part.p, part.k))) for part, gen in zip(code.parts, gens)]
+    lost = _worst_case(cfg, code)
+    solves = [(gen, np.arange(part.n)[None] < e, e)
+              for part, gen, e in zip(code.parts, gens, lost, strict=True) if e]
 
     def fn():
-        for gen, erased in blocks:
-            decoding_matrix(gen, erased)
+        for solve in solves:
+            _coefficients(*solve)
 
     return fn
 

@@ -12,13 +12,13 @@ coefficients, and nothing here inverts a matrix.
 
 Per byte position, encoding costs exactly p*k symbol multiply-accumulates
 and erasure decoding e*k (e = number of lost source packets), each one
-GF(256) matrix product (`gf256.mat_mul`).  `decode_batch` recovers a batch
-of blocks, one product per erased-source count; `decode` shares its
-coefficients and joins only the k slots they read from one PacketBlock
-(`PacketBlock.rows`, the one packets-to-array conversion), never an erased
-one.  Each call adds its exact count to the module-level `mac_counter` in
-one step, so tests and benchmarks can verify the arithmetic cost rather
-than trust the O() claim.
+GF(256) matrix product (`gf256.mat_mul`).  Both decoders get coefficients
+from `_coefficients`: `decode_batch` for a batch of blocks, one product per
+erased-source count, and `decode` for one PacketBlock, joining only the k
+slots they read (`PacketBlock.rows`, the one packets-to-array conversion),
+never an erased one.  Each call adds its exact count to the module-level
+`mac_counter` in one step, so tests and benchmarks can verify the
+arithmetic cost rather than trust the O() claim.
 """
 
 from __future__ import annotations
@@ -118,21 +118,12 @@ class GeneratorMatrix:
         return self.matrix[self.spec.k:]
 
 
-def _slots(indices, count: int) -> set:
-    # the slots of a count-slot block as a set of ints: as in CodeSpec, a
-    # numpy int passes and a float, which would match no slot, raises TypeError
-    slots = {operator.index(i) for i in indices}
-    if slots and not (0 <= min(slots) and max(slots) < count):
-        raise ValueError(f"slots must lie in 0..{count - 1}, got {sorted(slots)}")
-    return slots
-
-
 @dataclass(frozen=True)
 class PacketBlock:
     """A block of packets, some of which may be erased (None).
 
     Holds either k slots (a source block) or n slots (a coded block).
-    All present packets must be packet_size bytes.
+    All present packets must be packet_size >= 1 bytes.
     """
 
     spec: CodeSpec
@@ -140,6 +131,11 @@ class PacketBlock:
     packets: tuple
 
     def __post_init__(self):
+        # a tuple and an int, as in CodeSpec, whatever the caller passed
+        object.__setattr__(self, "packets", tuple(self.packets))
+        object.__setattr__(self, "packet_size", operator.index(self.packet_size))
+        if self.packet_size < 1:
+            raise ValueError(f"packet_size must be >= 1, got {self.packet_size}")
         if len(self.packets) not in (self.spec.k, self.spec.n):
             raise ValueError(
                 f"block must have k={self.spec.k} or n={self.spec.n} slots, "
@@ -157,9 +153,7 @@ class PacketBlock:
         payloads = [bytes(p) for p in payloads]
         if len(payloads) != spec.k:
             raise ValueError(f"expected {spec.k} source packets, got {len(payloads)}")
-        if not payloads[0]:
-            raise ValueError("packets must be non-empty")
-        return cls(spec, len(payloads[0]), tuple(payloads))
+        return cls(spec, len(payloads[0]), payloads)
 
     def erase(self, indices) -> "PacketBlock":
         """Copy of this block with the given slots erased.
@@ -167,7 +161,10 @@ class PacketBlock:
         Raises ValueError if an index is not a slot of this block and
         TypeError if it is not an integer.
         """
-        gone = _slots(indices, len(self.packets))
+        # as in CodeSpec, a numpy int passes; a float would match no slot
+        gone = {operator.index(i) for i in indices}
+        if gone and not (0 <= min(gone) and max(gone) < len(self.packets)):
+            raise ValueError(f"slots must lie in 0..{len(self.packets) - 1}, got {sorted(gone)}")
         packets = tuple(
             None if i in gone else pkt for i, pkt in enumerate(self.packets)
         )
@@ -266,7 +263,8 @@ def _coefficients(gen: GeneratorMatrix, erased: np.ndarray, e: int) -> tuple:
     # for (B, n) masks that each erase e sources and at most p slots: the
     # erased sources E (B, e), the slots R read (B, k): the kept sources,
     # then the first e surviving parity (stable sorts of the masks put the
-    # wanted slots first, in order), and C[E, R] (B, e, k): x_E = C[E, R] y_R
+    # wanted slots first, in order), and C[E, R] (B, e, k), the rows of
+    # G[R]^-1 for E: x_E = C[E, R] y_R
     k = gen.spec.k
     parity = k + np.argsort(erased[:, k:], axis=1, kind="stable")[:, :e]
     sources = np.argsort(~erased[:, :k], axis=1, kind="stable")
@@ -276,30 +274,6 @@ def _coefficients(gen: GeneratorMatrix, erased: np.ndarray, e: int) -> tuple:
     slices = [slice(i, i + step) for i in range(0, len(lost), step)]
     coefficients = [_lagrange(gen.log_sums, lost[i], nodes[i], lost[i], parity[i]) for i in slices]
     return lost, nodes, np.concatenate(coefficients)
-
-
-def decoding_matrix(gen: GeneratorMatrix, erased) -> np.ndarray:
-    """The decoder's e x n recovery matrix D for a given set of erased slots.
-
-    Row i gives the i-th erased source (ascending) as D[i] . y over the n
-    received packets y.  On R, the k slots the decoder reads (the kept
-    sources, then the first e surviving parity), D holds the rows of
-    G[R]^-1 for the erased sources, the Lagrange coefficients of
-    `decode_batch` for one pattern; it is zero off R.
-
-    Raises ValueError if a slot lies outside 0..n-1 or fewer than k packets
-    survive, and TypeError if a slot is not an integer.
-    """
-    spec = gen.spec
-    gone = _slots(erased, spec.n)
-    if len(gone) > spec.p:
-        raise ValueError(f"{len(gone)} erased slots leave fewer than k={spec.k} packets")
-    mask = np.zeros((1, spec.n), dtype=bool)
-    mask[0, list(gone)] = True
-    _, nodes, coefficients = _coefficients(gen, mask, int(mask[0, : spec.k].sum()))
-    matrix = np.zeros((len(coefficients[0]), spec.n), dtype=np.uint8)
-    matrix[:, nodes[0]] = coefficients[0]
-    return matrix
 
 
 def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray) -> np.ndarray:
@@ -313,8 +287,8 @@ def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray)
     The blocks are grouped by e, their number of erased sources.  A block's
     erased sources are the values at their points of the polynomial that its
     kept sources and first e surviving parity packets interpolate: a group
-    gets those Lagrange coefficients in closed form (the rows of
-    `decoding_matrix`), gathers from each block only the k slots they read,
+    gets those Lagrange coefficients in closed form (the rows of G[R]^-1
+    for its erased sources, R the k slots read), gathers only those slots,
     and recovers its sources with one batched product, e*k MACs per byte
     per block, added to `mac_counter`.
     """

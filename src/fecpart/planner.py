@@ -34,6 +34,12 @@ def _block_length(k) -> int:
     return k
 
 
+def _check_target(plr_target) -> None:
+    # a loss rate a code can both meet and miss; NaN fails this too
+    if not 0.0 < plr_target < 1.0:
+        raise ValueError(f"plr_target must be in (0, 1), got {plr_target}")
+
+
 @dataclass(frozen=True)
 class PlanRequest:
     """What to plan: block length, channel, loss target, partitioning."""
@@ -48,8 +54,7 @@ class PlanRequest:
         object.__setattr__(self, "k", _block_length(self.k))
         if self.partition and self.k < 2:
             raise ValueError(f"a two-way split needs k >= 2, got k={self.k}")
-        if not 0.0 < self.plr_target < 1.0:
-            raise ValueError(f"plr_target must be in (0, 1), got {self.plr_target}")
+        _check_target(self.plr_target)
         if not self.delta > 0.0:  # NaN fails this too
             raise ValueError(f"delta must be > 0, got {self.delta}")
 
@@ -83,12 +88,14 @@ def min_n_for_target(
     """Smallest n > k whose C(n, k) code has PLR <= plr_target on `ch`.
 
     Scans upward from n = k+1; the first hit is minimal because adding a
-    parity packet never increases the PLR.  Raises CapacityError if no n
-    within the field bound reaches the target.  If `plrs` is given, the
-    PLR of every scanned n is appended to it in scan order, so the last
-    entry is the result's and the one before it the witness's.
+    parity packet never increases the PLR.  Raises ValueError unless
+    0 < plr_target < 1, and CapacityError if no n within the field bound
+    reaches it.  If `plrs` is given, the PLR of every scanned n is appended
+    to it in scan order, so the last entry is the result's and the one
+    before it the witness's.
     """
     k = _block_length(k)
+    _check_target(plr_target)
     if ch.p_e >= 1.0:
         raise CapacityError("every packet is erased; no code can meet a target")
     for n in range(k + 1, MAX_CODE_LENGTH + 1):

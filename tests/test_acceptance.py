@@ -17,9 +17,9 @@ from fecpart.codec import (
     CodeSpec,
     PacketBlock,
     UnrecoverableBlockError,
+    _coefficients,
     build_generator,
     decode,
-    decoding_matrix,
     encode,
     mac_counter,
 )
@@ -146,21 +146,24 @@ def test_criterion_4_mds_property(report):
     # A k-row set R of a systematic generator is invertible exactly when the
     # decoder's e x e block B = G[P, E] is: R's identity rows fix its kept
     # sources, which leaves R's parity rows P on the e missing source columns
-    # E.  The decoder's recovery matrix D = decoding_matrix(gen, <slots not
-    # in R>) must hold B's inverse on P, so D[:, P] B = I proves B
-    # invertible.  The first 10 samples are also inverted in full, as
-    # identity-heavy 200 x 200 matrices.
+    # E.  The decoder's coefficients D = _coefficients(gen, <mask of the
+    # slots not in R>, e) read P through their last e columns, D[:, P],
+    # which must hold B's inverse, so D[:, P] B = I proves B invertible.
+    # The first 10 samples are also inverted in full, as identity-heavy
+    # 200 x 200 matrices.
     big = CodeSpec(255, 200)
     gen = build_generator(big)
     rng = np.random.default_rng(99)
     for i in range(1000):
         rows = np.sort(rng.choice(big.n, size=big.k, replace=False))
         parity, lost = rows[rows >= big.k], np.setdiff1d(np.arange(big.k), rows)
-        d = decoding_matrix(gen, np.setdiff1d(np.arange(big.n), rows))
+        erased = np.ones((1, big.n), dtype=bool)
+        erased[0, rows] = False
+        d = _coefficients(gen, erased, len(lost))[2][0]
         try:
             if i < 10:
                 mat_invert(gen.matrix[rows])
-            product = mat_mul(d[:, parity], gen.matrix[parity][:, lost])
+            product = mat_mul(d[:, big.k - len(parity):], gen.matrix[parity][:, lost])
             assert np.array_equal(product, identity(len(lost))), "D[:, P] G[P, E] != I"
         except (SingularMatrixError, AssertionError):
             report(4, "every k-row submatrix invertible", False, f"sample {i}")

@@ -4,8 +4,10 @@ Comparative timing claims (halving, inversion negligibility) live in the
 acceptance suite; here we only exercise the machinery at toy sizes.
 """
 
+import numpy as np
 import pytest
 
+import fecpart.bench as bench_mod
 from fecpart.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -89,6 +91,32 @@ def test_bench_invert_k_equal_one():
     cfg = BenchConfig(k_values=(1,), **TINY)
     (pt,) = run_bench(cfg, modes=("plain",), phases=("invert",))
     assert pt.median_ms > 0
+
+
+@pytest.mark.parametrize("erased", [None, 2, 1])
+def test_invert_phase_solves_the_decode_phase_erasures(monkeypatch, erased):
+    # the invert phase times the coefficient step of every decode the decode
+    # phase runs, on the same erased slots; a part that loses no source
+    # takes decode's fast path and has no step to time
+    cfg = BenchConfig(k_values=(8,), **TINY, erased=erased)
+    solved, received = set(), set()
+    real_coefficients = bench_mod._coefficients
+
+    def record(gen, mask, e):
+        solved.add((gen.spec, tuple(np.flatnonzero(mask[0]).tolist())))
+        return real_coefficients(gen, mask, e)
+
+    def seen(blocks):
+        received.update((rx.spec, tuple(rx.missing_indices)) for rx in blocks if rx.missing_indices)
+
+    monkeypatch.setattr(bench_mod, "_coefficients", record)
+    monkeypatch.setattr(bench_mod, "decode", lambda gen, rx: seen([rx]))
+    monkeypatch.setattr(bench_mod, "decode_partitioned", lambda code, blocks, gens: seen(blocks))
+    run_bench(cfg, phases=("decode", "invert"))
+    assert solved and solved == received
+    if erased is None:  # each part loses min(p, k) sources, as many as it repairs
+        assert {(spec, len(slots)) for spec, slots in solved} == {
+            (CodeSpec(12, 8), 4), (CodeSpec(6, 4), 2)}
 
 
 def test_run_bench_grid_size():

@@ -14,7 +14,6 @@ from fecpart.codec import (
     build_generator,
     decode,
     decode_batch,
-    decoding_matrix,
     encode,
     mac_counter,
 )
@@ -23,6 +22,15 @@ from fecpart.gf256 import SingularMatrixError, gf_mul, gf_pow, identity, mat_inv
 
 def random_payloads(rng, k, size=64):
     return [rng.integers(0, 256, size, dtype=np.uint8).tobytes() for _ in range(k)]
+
+
+def coefficients(gen, erased):
+    # the decoder's coefficient step for one pattern of erased slots: the
+    # erased sources E, the slots R it reads and C[E, R]
+    mask = np.zeros((1, gen.spec.n), dtype=bool)
+    mask[0, erased] = True
+    lost, nodes, c = codec_mod._coefficients(gen, mask, int(mask[0, : gen.spec.k].sum()))
+    return lost[0], nodes[0], c[0]
 
 
 def test_code_spec_validation():
@@ -181,6 +189,27 @@ def test_packet_block_rows_in_the_given_order():
         block.erase([3]).rows([0, 3])
 
 
+def test_packet_block_holds_a_tuple_and_an_int_size():
+    # a list of packets is held as a tuple, so the frozen block hashes and
+    # encodes, and the size is an integer of at least one byte
+    spec = CodeSpec(6, 4)
+    gen = build_generator(spec)
+    payloads = random_payloads(np.random.default_rng(2), 4, size=8)
+    block = PacketBlock(spec, np.int64(8), list(payloads))
+    assert block.packets == tuple(payloads) and type(block.packet_size) is int
+    assert hash(block) == hash(PacketBlock.source(spec, payloads))
+    assert decode(gen, encode(gen, block)) == payloads
+    for size in (-1, 0):
+        with pytest.raises(ValueError):
+            PacketBlock(spec, size, (None,) * 4)
+    with pytest.raises(ValueError):
+        PacketBlock(spec, 0, (b"",) * 4)
+    with pytest.raises(TypeError):
+        PacketBlock(spec, 1.5, (None,) * 4)
+    with pytest.raises(ValueError):  # empty packets
+        PacketBlock.source(spec, [b""] * 4)
+
+
 def test_decode_never_reads_an_erased_slot(monkeypatch):
     # hand the solve an erased slot in place of a kept one: the join of the
     # slots it reads must raise, not stand in zeros and return wrong bytes
@@ -296,27 +325,15 @@ def test_decode_mac_count_is_e_times_k():
         assert mac_counter.per_byte == len(erased) * spec.k
 
 
-def test_decoding_matrix_shape_and_invertibility():
-    spec = CodeSpec(12, 8)
-    gen = build_generator(spec)
-    assert decoding_matrix(gen, []).shape == (0, 12)
-    d = decoding_matrix(gen, [1, 4, 6])
-    assert d.shape == (3, 12)
-    # on the parity rows it reads, D inverts the e x e block G[P, E]
-    parity, lost = [8, 9, 10], [1, 4, 6]
-    assert np.array_equal(mat_mul(d[:, parity], gen.matrix[parity][:, lost]), identity(3))
-    with pytest.raises(ValueError):
-        decoding_matrix(gen, range(5))  # more erasures than parity
-    # slots that do not exist are rejected, not dropped
-    small = build_generator(CodeSpec(6, 4))
-    for erased in ([500], [-1], [0, -3], [6]):
-        with pytest.raises(ValueError):
-            decoding_matrix(small, erased)
-    for erased in ([1.5], [1.0], [0, 2.5]):  # not integers
-        with pytest.raises(TypeError):
-            decoding_matrix(small, erased)
-    assert np.array_equal(decoding_matrix(small, np.array([0, 5])), decoding_matrix(small, [0, 5]))
-    assert decoding_matrix(small, [0, 5]).shape == (1, 6)
+def test_coefficients_invert_the_parity_block():
+    gen = build_generator(CodeSpec(12, 8))
+    lost, nodes, c = coefficients(gen, [1, 4, 6])
+    assert lost.tolist() == [1, 4, 6] and c.shape == (3, 8)
+    # on the parity rows it reads, its last e columns, C inverts the e x e
+    # block G[P, E]
+    parity = [8, 9, 10]
+    assert nodes[-3:].tolist() == parity
+    assert np.array_equal(mat_mul(c[:, -3:], gen.matrix[parity][:, lost]), identity(3))
 
 
 def test_decode_rejects_source_sized_block():
@@ -402,7 +419,7 @@ def test_decode_batch_checks_shapes_and_code():
             decode_batch(*args)
 
 
-def test_decoding_matrix_uses_first_surviving_parity_rows():
+def test_coefficients_use_first_surviving_parity_rows():
     # the decoder's rule: it reads the kept sources and the first e
     # surviving parity rows, in slot order, and nothing else
     gen = build_generator(CodeSpec(12, 8))
@@ -411,13 +428,13 @@ def test_decoding_matrix_uses_first_surviving_parity_rows():
         ([0, 8, 10], [1, 2, 3, 4, 5, 6, 7, 9]),
         ([2, 3, 9], [0, 1, 4, 5, 6, 7, 8, 10]),
     ):
-        d = decoding_matrix(gen, erased)
-        assert np.array_equal(np.flatnonzero(d.any(axis=0)), read), erased
-        assert (d[:, read] != 0).all()
+        _, nodes, c = coefficients(gen, erased)
+        assert nodes.tolist() == read, erased
+        assert (c != 0).all()
 
 
-def test_decoding_matrix_reduction_gives_the_k_row_inverse():
-    # on the k slots R it reads, D holds the rows of G[R]^-1 for the erased
+def test_coefficients_are_the_k_row_inverse():
+    # on the k slots R it reads, C holds the rows of G[R]^-1 for the erased
     # sources, bit for bit: every R of every code with n <= 8, and the
     # first 10 row sets criterion 4 draws on C(255, 200)
     cases = []
@@ -430,6 +447,6 @@ def test_decoding_matrix_reduction_gives_the_k_row_inverse():
     cases += [(big, rng.choice(255, size=200, replace=False)) for _ in range(10)]
     for gen, rows in cases:
         rows = np.sort(rows)
-        lost = np.setdiff1d(np.arange(gen.spec.k), rows)
-        d = decoding_matrix(gen, np.setdiff1d(np.arange(gen.spec.n), rows))
-        assert np.array_equal(d[:, rows], mat_invert(gen.matrix[rows])[lost]), rows
+        lost, nodes, c = coefficients(gen, np.setdiff1d(np.arange(gen.spec.n), rows))
+        assert np.array_equal(nodes, rows), rows
+        assert np.array_equal(c, mat_invert(gen.matrix[rows])[lost]), rows

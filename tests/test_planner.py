@@ -58,6 +58,15 @@ def test_min_n_rejects_bad_k():
         min_n_for_target(0, BecChannel(0.1), 1e-5)
 
 
+def test_min_n_rejects_a_target_outside_0_1():
+    # checked before the scan, as PlanRequest checks it: the field bound is
+    # not at fault, so the error must not be a CapacityError
+    for target in (float("nan"), 0.0, -1e-5, 1.0, 2.0):
+        with pytest.raises(ValueError) as err:
+            min_n_for_target(40, BecChannel(0.1), target)
+        assert not isinstance(err.value, CapacityError), target
+
+
 def test_distribute_excess_zero_when_already_within_delta():
     ps = distribute_excess(CodeSpec(44, 40), BecChannel(0.01), 0.001)
     assert ps.excess == 0
