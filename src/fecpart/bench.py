@@ -8,11 +8,13 @@ all points share the machine's state.  Timed regions cover the public codec
 call only (`encode`/`decode` plain, `encode_partitioned`/
 `decode_partitioned` partitioned): generator construction, payload
 allocation and RNG all happen outside.
-Decode is timed in its worst case, every erasure hitting a source packet
-(dealt over the code's parts).  The "invert" phase times, on those same
-erasures, the decoder's closed-form stand-in for an inversion: the step
-`codec._coefficients` of each part that loses a source, touching no
-payload.  Compare only ratios of points from one run on one machine.
+Decode is timed in its worst case: as many erasures as the parent has
+parity, every one hitting a source packet (dealt over the code's parts).
+The payload bytes are fixed, since they do not change the work.  The
+"invert" phase times, on those same erasures, the decoder's closed-form
+stand-in for an inversion: the step `codec._coefficients` of each part that
+loses a source, touching no payload.  Compare only ratios of points from
+one run on one machine.
 
 Measurement is strictly single-threaded: time one process, one thread, and
 nothing concurrent.
@@ -25,15 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (
-    CodeSpec,
-    PacketBlock,
-    _coefficients,
-    build_generator,
-    decode,
-    encode,
-)
-from .partition import decode_partitioned, encode_partitioned, split
+from .codec import CodeSpec, PacketBlock, _coefficients, decode, encode
+from .partition import decode_partitioned, encode_partitioned, half_generators, split
 
 WARMUP_ITERATIONS = 10
 
@@ -43,12 +38,13 @@ PHASES = ("encode", "decode", "invert")
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """A sweep: the block lengths k, each coded C(k + parity, k), plain or
+    split, over packets of packet_size bytes, timed `iterations` times."""
+
     k_values: tuple
     parity: int = 8
     packet_size: int = 1500
     iterations: int = 100
-    erased: int | None = None  # decode erasures; defaults to parity
-    seed: int = 0
 
     def __post_init__(self):
         if not self.k_values or any(k < 1 for k in self.k_values):
@@ -59,12 +55,6 @@ class BenchConfig:
             raise ValueError("packet_size must be >= 1")
         if self.iterations < 10:
             raise ValueError(f"iterations must be >= 10, got {self.iterations}")
-        if self.erased is not None and not 0 <= self.erased <= self.parity:
-            raise ValueError("erased must be between 0 and parity")
-
-    @property
-    def erasures(self) -> int:
-        return self.parity if self.erased is None else self.erased
 
 
 @dataclass(frozen=True)
@@ -114,20 +104,21 @@ def _measure(fns, iterations: int) -> list:
     return [(float(m) / 1e6, float(d) / 1e6) for m, d in zip(medians, mads)]
 
 
-def _payloads(rng, k: int, size: int) -> list:
-    return [rng.integers(0, 256, size, dtype=np.uint8).tobytes() for _ in range(k)]
-
-
 def _source_block(cfg: BenchConfig, spec: CodeSpec):
-    rng = np.random.default_rng(cfg.seed)
-    return PacketBlock.source(spec, _payloads(rng, spec.k, cfg.packet_size))
+    # a fixed seed: the bytes never change the work, since mat_mul gathers
+    # one table entry per MAC whatever they are and _coefficients reads only
+    # the erasure mask
+    rng = np.random.default_rng(0)
+    payloads = [rng.integers(0, 256, cfg.packet_size, dtype=np.uint8).tobytes()
+                for _ in range(spec.k)]
+    return PacketBlock.source(spec, payloads)
 
 
 def _code(cfg: BenchConfig, k: int, mode: str):
     # one point's parent code, the code its mode runs, and one generator per part
     spec = CodeSpec(k + cfg.parity, k)
     code = spec if mode == "plain" else split(spec)
-    return spec, code, tuple(build_generator(part) for part in code.parts)
+    return spec, code, half_generators(code)
 
 
 def _encode_call(cfg: BenchConfig, k: int, mode: str):
@@ -140,10 +131,10 @@ def _encode_call(cfg: BenchConfig, k: int, mode: str):
 
 
 def _worst_case(cfg: BenchConfig, code) -> tuple:
-    # every erasure hits a source packet: the erasures are dealt over the
+    # all `parity` erasures hit source packets: they are dealt over the
     # parts first part first, part j of m taking (e+m-1-j)//m, capped at its
     # k; each part loses the sources in its first that many slots
-    e, m = cfg.erasures, len(code.parts)
+    e, m = cfg.parity, len(code.parts)
     return tuple(min((e + m - 1 - j) // m, part.k) for j, part in enumerate(code.parts))
 
 

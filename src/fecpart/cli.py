@@ -144,7 +144,6 @@ def cmd_bench(args) -> int:
         parity=args.parity,
         packet_size=args.packet_size,
         iterations=args.iterations,
-        seed=args.seed,
     )
     modes = MODES if args.mode == "both" else (args.mode,)
     phases = PHASES if args.phase == "all" else (args.phase,)
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="both")
     p_bench.add_argument("--phase", choices=(*PHASES, "all"),
                          default="all")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

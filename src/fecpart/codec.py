@@ -118,6 +118,17 @@ class GeneratorMatrix:
         return self.matrix[self.spec.k:]
 
 
+def _payload(p) -> bytes:
+    # bytes(5) would be five zero bytes: an integer is a size, not a payload
+    if type(p) is bytes:
+        return p
+    try:
+        operator.index(p)
+    except TypeError:
+        return bytes(p)
+    raise TypeError(f"a payload must be bytes-like, not the integer {p!r}")
+
+
 @dataclass(frozen=True)
 class PacketBlock:
     """A block of packets, some of which may be erased (None).
@@ -150,7 +161,9 @@ class PacketBlock:
 
     @classmethod
     def source(cls, spec: CodeSpec, payloads) -> "PacketBlock":
-        payloads = [bytes(p) for p in payloads]
+        """A source block of `spec` holding `payloads`, bytes-like objects
+        of one size; a `bytes` payload is kept as the same object."""
+        payloads = [_payload(p) for p in payloads]
         if len(payloads) != spec.k:
             raise ValueError(f"expected {spec.k} source packets, got {len(payloads)}")
         return cls(spec, len(payloads[0]), payloads)

@@ -8,8 +8,10 @@ had spares.  Extra "excess" parity packets can be added to buy back the
 lost protection.
 
 A partitioned code's `parts` are its two halves, in source order, as a plain
-code's `parts` are the code itself; encode, decode and generator set-up run
-once per part, each part on its own slice of the parent's source packets.
+code's `parts` are the code itself; encode and decode run once per part,
+each part on its own slice of the parent's source packets.  As `encode`
+takes its one generator, the split coder takes one per part, built once by
+`half_generators` and reused for every block.
 """
 
 from __future__ import annotations
@@ -97,26 +99,24 @@ def split(parent: CodeSpec, excess: int = 0) -> PartitionSpec:
     )
 
 
-def half_generators(ps: PartitionSpec) -> tuple:
-    """Generator matrices for both halves (build once, reuse across blocks)."""
-    return tuple(build_generator(part) for part in ps.parts)
+def half_generators(code) -> tuple:
+    """Generators for every part of any code (build once, reuse across blocks)."""
+    return tuple(build_generator(part) for part in code.parts)
 
 
-def encode_partitioned(
-    ps: PartitionSpec, source: PacketBlock, gens: tuple | None = None
-) -> tuple:
+def encode_partitioned(ps: PartitionSpec, source: PacketBlock, gens: tuple) -> tuple:
     """Encode a parent source block through both halves independently.
 
     The first k1 source packets feed the first code, the rest the second;
     total cost is k1*p1 + k2*p2 MACs per byte, about half the parent's k*p
-    when excess is zero.  Pass prebuilt `gens` to amortize generator set-up
-    across blocks.  `source` must be a full source block of the parent.
+    when excess is zero.  `gens` are the halves' generators, from
+    `half_generators(ps)`.  `source` must be a full source block of the
+    parent.
     """
     if source.spec != ps.parent:
         raise ValueError(f"source block of {source.spec} given to the split of {ps.parent}")
     if len(source.packets) != ps.parent.k or None in source.packets:
         raise ValueError(f"need exactly {ps.parent.k} present source packets")
-    gens = gens if gens is not None else half_generators(ps)
     coded, offset = [], 0
     for part, gen in zip(ps.parts, gens, strict=True):
         packets = source.packets[offset : offset + part.k]
@@ -125,18 +125,15 @@ def encode_partitioned(
     return tuple(coded)
 
 
-def decode_partitioned(
-    ps: PartitionSpec, received: tuple, gens: tuple | None = None
-) -> list:
+def decode_partitioned(ps: PartitionSpec, received: tuple, gens: tuple) -> list:
     """Decode both half blocks and reassemble the parent source order.
 
-    Each half decodes independently.  If either half is unrecoverable the
-    combined UnrecoverableBlockError carries the lost source indices from
-    both halves, expressed as parent positions (second-half indices are
-    offset by k1).  Raises ValueError unless `received` (and `gens`, if
-    given) hold exactly one entry per half.
+    Each half decodes independently with its generator from `gens`.  If
+    either half is unrecoverable the combined UnrecoverableBlockError
+    carries the lost source indices from both halves, expressed as parent
+    positions (second-half indices are offset by k1).  Raises ValueError
+    unless `received` and `gens` hold exactly one entry per half.
     """
-    gens = gens if gens is not None else half_generators(ps)
     recovered, lost, offset = [], [], 0
     for part, gen, rx in zip(ps.parts, gens, received, strict=True):
         try:

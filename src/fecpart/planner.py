@@ -110,15 +110,15 @@ def min_n_for_target(
     )
 
 
-def distribute_excess(parent: CodeSpec, ch: BecChannel, delta: float) -> PartitionSpec:
+def distribute_excess(parent: CodeSpec, ch: BecChannel, delta: float) -> PartitionPlan:
     """Smallest-excess partition of `parent` within `delta` of its PLR.
 
     Starting from a zero-excess split, adds one excess parity packet at a
     time (alternating halves, first half first) until the partitioned PLR
-    exceeds the parent's by at most delta.  Each added packet must strictly
-    lower the partitioned PLR unless it is already 0; excess counts whose
-    split would leave a half without parity (only possible for p = 1) are
-    skipped.
+    exceeds the parent's by at most delta, and returns that split with the
+    PLR it was measured at.  Each added packet must strictly lower the
+    partitioned PLR unless it is already 0; excess counts whose split would
+    leave a half without parity (only possible for p = 1) are skipped.
     """
     if not delta > 0.0:  # NaN fails this too
         raise ValueError(f"delta must be > 0, got {delta}")
@@ -137,7 +137,7 @@ def distribute_excess(parent: CodeSpec, ch: BecChannel, delta: float) -> Partiti
         ps = split(parent, excess)
         part = partitioned_plr(ps, ch).plr
         if part - plain <= delta:
-            return ps
+            return PartitionPlan(ps, part)
         if previous is not None and part >= previous and part > 0.0:
             raise AssertionError(
                 f"excess packet {excess} did not lower the partitioned PLR "
@@ -151,14 +151,11 @@ def plan(req: PlanRequest) -> PlanResult:
     """Pick the minimal code for `req`, partitioning it if requested.
 
     The code's PLR, the witness's and the scan length all come from the
-    one n-scan.
+    one n-scan, and the partition's PLR from the excess search.
     """
     plrs = []
     spec = min_n_for_target(req.k, req.ch, req.plr_target, plrs=plrs)
-    partition = None
-    if req.partition:
-        ps = distribute_excess(spec, req.ch, req.delta)
-        partition = PartitionPlan(ps=ps, plr=partitioned_plr(ps, req.ch).plr)
+    partition = distribute_excess(spec, req.ch, req.delta) if req.partition else None
     return PlanResult(
         spec=spec,
         plr=plrs[-1],

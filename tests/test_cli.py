@@ -269,6 +269,13 @@ def test_bench_malformed_range(capsys):
     assert code == 2
 
 
+def test_bench_takes_no_seed(capsys):
+    # the payload bytes do not change the timings, so there is none to set
+    code, out, err = run(capsys, "bench", "--seed", "1", "--iterations", "10")
+    assert code == 2
+    assert out == ""
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -18,6 +18,7 @@ from fecpart.codec import (
     mac_counter,
 )
 from fecpart.gf256 import SingularMatrixError, gf_mul, gf_pow, identity, mat_invert, mat_mul
+from fecpart.partition import decode_partitioned, encode_partitioned, half_generators, split
 
 
 def random_payloads(rng, k, size=64):
@@ -210,6 +211,19 @@ def test_packet_block_holds_a_tuple_and_an_int_size():
         PacketBlock.source(spec, [b""] * 4)
 
 
+def test_packet_block_source_refuses_an_integer_payload():
+    # bytes(5) is five zero bytes: an integer is a size, never a payload
+    spec = CodeSpec(4, 2)
+    for bad in ([5, 5], [np.int64(5)] * 2, [b"abcde", 5], [True, True]):
+        with pytest.raises(TypeError, match="integer"):
+            PacketBlock.source(spec, bad)
+    # bytes-like payloads still pass, and bytes are kept, not copied
+    payloads = [b"abcde", bytearray(b"fghij")]
+    block = PacketBlock.source(spec, payloads)
+    assert block.packets[0] is payloads[0] and block.packets[1] == b"fghij"
+    assert PacketBlock.source(spec, [np.arange(3, dtype=np.uint8)] * 2).packets == (b"\x00\x01\x02",) * 2
+
+
 def test_decode_never_reads_an_erased_slot(monkeypatch):
     # hand the solve an erased slot in place of a kept one: the join of the
     # slots it reads must raise, not stand in zeros and return wrong bytes
@@ -243,13 +257,34 @@ def test_decode_returns_surviving_sources_as_received():
 
 
 def test_decode_fast_path_performs_no_inversion(monkeypatch):
-    spec = CodeSpec(6, 4)
+    # with no source lost, plain and split decodes return the received
+    # sources as they are: no inversion, no coefficient step (its closed-form
+    # stand-in), no product, no MAC
+    spec = CodeSpec(12, 8)
     gen = build_generator(spec)
-    payloads = random_payloads(np.random.default_rng(2), 4)
-    block = encode(gen, PacketBlock.source(spec, payloads))
+    payloads = random_payloads(np.random.default_rng(16), spec.k, size=8)
+    source = PacketBlock.source(spec, payloads)
+    block = encode(gen, source)
+    ps = split(spec)
+    gens = half_generators(ps)
+    halves = encode_partitioned(ps, source, gens)
+
+    def forbidden(*args):
+        raise AssertionError("the fast path ran a solve")
+
     forbid_inversion(monkeypatch)
-    assert decode(gen, block) == payloads
-    assert decode(gen, block.erase([4, 5])) == payloads  # parity-only erasures
+    monkeypatch.setattr(codec_mod, "mat_mul", forbidden)
+    monkeypatch.setattr(codec_mod, "_coefficients", forbidden)
+    mac_counter.reset()
+    for lost in ([], [8, 11]):  # nothing erased, then only parity
+        rx = block.erase(lost)
+        recovered = decode(gen, rx)
+        assert recovered == payloads
+        assert all(a is b for a, b in zip(recovered, rx.packets))
+    for lost in (([], []), ([4], [5]), ([4, 5], [])):  # no half loses a source
+        rx = tuple(half.erase(slots) for half, slots in zip(halves, lost))
+        assert decode_partitioned(ps, rx, gens) == payloads
+    assert mac_counter.per_byte == 0
 
 
 def test_decoder_never_inverts(monkeypatch):

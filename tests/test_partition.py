@@ -125,7 +125,7 @@ def test_encode_partitioned_mac_bound_with_excess():
             ps = split(parent, excess)
             block, _ = source_block(ps, np.random.default_rng(1), size=4)
             mac_counter.reset()
-            encode_partitioned(ps, block)
+            encode_partitioned(ps, block, half_generators(ps))
             bound = (k * parent.p + 1) // 2 + excess * k_max
             assert mac_counter.per_byte <= bound
 
@@ -133,8 +133,9 @@ def test_encode_partitioned_mac_bound_with_excess():
 def test_partitioned_roundtrip_no_erasures():
     ps = split(CodeSpec(14, 9), excess=1)
     block, payloads = source_block(ps, np.random.default_rng(2))
-    coded = encode_partitioned(ps, block)
-    assert decode_partitioned(ps, coded) == payloads
+    gens = half_generators(ps)
+    coded = encode_partitioned(ps, block, gens)
+    assert decode_partitioned(ps, coded, gens) == payloads
 
 
 def test_partitioned_roundtrip_all_recoverable_patterns():
@@ -155,30 +156,33 @@ def test_half_failure_despite_parent_level_redundancy():
     # the structural price of partitioning: halves cannot pool parity
     ps = split(CodeSpec(48, 40))  # halves carry 4 parity each, parent had 8
     block, _ = source_block(ps, np.random.default_rng(4), size=8)
-    coded = encode_partitioned(ps, block)
+    gens = half_generators(ps)
+    coded = encode_partitioned(ps, block, gens)
     rx = (coded[0].erase(range(5)), coded[1])  # 5 losses <= parent p, > first.p
     with pytest.raises(UnrecoverableBlockError) as exc_info:
-        decode_partitioned(ps, rx)
+        decode_partitioned(ps, rx, gens)
     assert exc_info.value.lost_source_indices == (0, 1, 2, 3, 4)
 
 
 def test_second_half_losses_reported_in_parent_positions():
     ps = split(CodeSpec(12, 8))  # halves (6, 4): 2 parity each
     block, _ = source_block(ps, np.random.default_rng(5), size=8)
-    coded = encode_partitioned(ps, block)
+    gens = half_generators(ps)
+    coded = encode_partitioned(ps, block, gens)
     rx = (coded[0], coded[1].erase([0, 1, 2]))
     with pytest.raises(UnrecoverableBlockError) as exc_info:
-        decode_partitioned(ps, rx)
+        decode_partitioned(ps, rx, gens)
     assert exc_info.value.lost_source_indices == (4, 5, 6)
 
 
 def test_both_halves_failing_aggregate_losses():
     ps = split(CodeSpec(12, 8))
     block, _ = source_block(ps, np.random.default_rng(6), size=8)
-    coded = encode_partitioned(ps, block)
+    gens = half_generators(ps)
+    coded = encode_partitioned(ps, block, gens)
     rx = (coded[0].erase([1, 2, 3]), coded[1].erase([0, 2, 3]))
     with pytest.raises(UnrecoverableBlockError) as exc_info:
-        decode_partitioned(ps, rx)
+        decode_partitioned(ps, rx, gens)
     assert exc_info.value.lost_source_indices == (1, 2, 3, 4, 6, 7)
 
 
@@ -201,7 +205,7 @@ def test_partitioned_decode_matches_unpartitioned_source():
 def test_encode_partitioned_first_half_gets_leading_packets():
     ps = split(CodeSpec(14, 9))
     block, payloads = source_block(ps, np.random.default_rng(8), size=8)
-    coded = encode_partitioned(ps, block)
+    coded = encode_partitioned(ps, block, half_generators(ps))
     assert list(coded[0].packets[: ps.first.k]) == payloads[: ps.first.k]
     assert list(coded[1].packets[: ps.second.k]) == payloads[ps.first.k:]
 
@@ -214,7 +218,7 @@ def test_encode_partitioned_needs_a_full_source_block():
     coded = encode(build_generator(ps.parent), block)
     for bad in (coded, block.erase([5])):
         with pytest.raises(ValueError, match="need exactly 8 present source packets"):
-            encode_partitioned(ps, bad)
+            encode_partitioned(ps, bad, half_generators(ps))
 
 
 def test_partitioned_calls_need_one_entry_per_half():
@@ -235,3 +239,17 @@ def test_partitioned_calls_need_one_entry_per_half():
     other = PacketBlock.source(CodeSpec(9, 8), [bytes(8)] * 8)
     with pytest.raises(ValueError):
         encode_partitioned(ps, other, gens)
+
+
+def test_partitioned_coder_requires_the_generators():
+    # as encode takes its generator, the split coder takes one per half:
+    # it never builds them behind the caller's back
+    ps = split(CodeSpec(12, 8))
+    block, _ = source_block(ps, np.random.default_rng(11), size=8)
+    coded = encode_partitioned(ps, block, half_generators(ps))
+    with pytest.raises(TypeError):
+        encode_partitioned(ps, block)
+    with pytest.raises(TypeError):
+        decode_partitioned(ps, coded)
+    # the generators of any code's parts: a plain code is its own one part
+    assert [gen.spec for gen in half_generators(ps.parent)] == [ps.parent]

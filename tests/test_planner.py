@@ -81,9 +81,11 @@ def test_distribute_excess_meets_delta_with_minimal_excess():
     parent = CodeSpec(25, 20)
     ch = BecChannel(0.1)
     delta = 0.001
-    ps = distribute_excess(parent, ch, delta)
+    planned = distribute_excess(parent, ch, delta)
+    ps = planned.ps
     plain = analytic_plr(parent, ch).plr
-    assert partitioned_plr(ps, ch).plr - plain <= delta
+    assert planned.plr == partitioned_plr(ps, ch).plr
+    assert planned.plr - plain <= delta
     if ps.excess > 0:
         from fecpart.partition import split
 
@@ -96,14 +98,14 @@ def test_distribute_excess_each_step_lowers_plr():
     ch = BecChannel(0.1)
     from fecpart.partition import split
 
-    ps = distribute_excess(parent, ch, 0.001)
-    values = [partitioned_plr(split(parent, x), ch).plr for x in range(ps.excess + 1)]
+    excess = distribute_excess(parent, ch, 0.001).excess
+    values = [partitioned_plr(split(parent, x), ch).plr for x in range(excess + 1)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_distribute_excess_single_parity_parent_skips_invalid_splits():
     # p=1 cannot split at excess 0 or 1; the first usable split is excess=2
-    ps = distribute_excess(CodeSpec(21, 20), BecChannel(0.0), 0.001)
+    ps = distribute_excess(CodeSpec(21, 20), BecChannel(0.0), 0.001).ps
     assert ps.excess == 2
     assert (ps.first.p, ps.second.p) == (2, 1)
 
