@@ -17,7 +17,7 @@ from fecpart.bench import (
     run_bench,
     to_csv,
 )
-from fecpart.codec import CodeSpec
+from fecpart.codec import CodeSpec, decode, encode
 
 TINY = dict(parity=4, packet_size=64, iterations=10)
 
@@ -123,6 +123,17 @@ def test_decode_within_twice_encode():
     cfg = BenchConfig(k_values=(50,), parity=8, packet_size=1500, iterations=20)
     enc, dec = run_bench(cfg, modes=("plain",), phases=("encode", "decode"))
     assert dec.median_ms <= 2 * enc.median_ms
+
+
+def test_decode_fast_path_is_much_cheaper():
+    # a block that lost no source decodes on the fast path, well under the
+    # bench's worst-case decode of the same code and payload
+    cfg = BenchConfig(k_values=(50,), parity=8, packet_size=1500, iterations=20)
+    spec, _, (gen,) = bench_mod._code(cfg, 50, "plain")
+    clean = encode(gen, bench_mod._source_block(cfg, spec))
+    (erased, _), (fast, _) = bench_mod._measure(
+        [bench_mod._decode_call(cfg, 50, "plain"), lambda: decode(gen, clean)], cfg.iterations)
+    assert fast <= 0.5 * erased
 
 
 def test_csv_header_and_shape():
