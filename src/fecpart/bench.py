@@ -169,6 +169,22 @@ def _invert_call(cfg: BenchConfig, k: int, mode: str):
 _CALLS = {"encode": _encode_call, "decode": _decode_call, "invert": _invert_call}
 
 
+def _check_codes(cfg: BenchConfig, modes) -> None:
+    # every (mode, k) cell's code must exist: C(k + parity, k), and its
+    # split in partitioned mode; one ValueError names every k that fails
+    bad, reason = [], None
+    for k in cfg.k_values:
+        try:
+            spec = CodeSpec(k + cfg.parity, k)
+            if "partitioned" in modes:
+                split(spec)
+        except ValueError as exc:
+            bad.append(k)
+            reason = reason or exc
+    if bad:
+        raise ValueError(f"cannot bench k={bad} with parity {cfg.parity}: {reason}")
+
+
 def run_bench(cfg: BenchConfig, modes=MODES, phases=PHASES) -> list:
     """Time every requested (mode, phase, k) point in one round-robin sweep.
 
@@ -176,11 +192,16 @@ def run_bench(cfg: BenchConfig, modes=MODES, phases=PHASES) -> list:
     (partitioned vs plain, invert vs decode) are taken under the same
     conditions.  Points come out ordered by mode, then phase, then k;
     invert points report packet_size 0, since they touch no payload.
+
+    Raises ValueError, before anything is built or timed, for an unknown
+    mode or phase and for k values whose code does not exist: n = k +
+    parity above 255, or, in partitioned mode, no split (k = 1 or parity 1).
     """
     for kind, names, known in (("mode", modes, MODES), ("phase", phases, PHASES)):
         for name in names:
             if name not in known:
                 raise ValueError(f"unknown {kind} {name!r}")
+    _check_codes(cfg, modes)
     cells = [(mode, phase, k) for mode in modes for phase in phases for k in cfg.k_values]
     fns = [_CALLS[phase](cfg, k, mode) for mode, phase, k in cells]
     return [

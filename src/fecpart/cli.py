@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .bench import MODES, PHASES, BenchConfig, run_bench, to_csv
+from .bench import MODES, PHASES, BenchConfig, _check_codes, run_bench, to_csv
 from .codec import CodeSpec, UnrecoverableBlockError
 from .lossmodel import BecChannel, analytic_plr, monte_carlo_plr
 from .partition import PartitionSpec
@@ -147,6 +147,7 @@ def cmd_bench(args) -> int:
     )
     modes = MODES if args.mode == "both" else (args.mode,)
     phases = PHASES if args.phase == "all" else (args.phase,)
+    _check_codes(cfg, modes)  # before the banner: a sweep that cannot run prints none
     print(f"benchmarking k={list(k_values)} modes={modes} phases={phases}",
           file=sys.stderr)
     points = run_bench(cfg, modes=modes, phases=phases)

@@ -303,7 +303,9 @@ def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray)
     gets those Lagrange coefficients in closed form (the rows of G[R]^-1
     for its erased sources, R the k slots read), gathers only those slots,
     and recovers its sources with one batched product, e*k MACs per byte
-    per block, added to `mac_counter`.
+    per block, added to `mac_counter`.  The gather takes from `received`
+    as B*n rows of L bytes, so each slot read moves one whole packet rather
+    than L single bytes.
     """
     spec = gen.spec
     k = spec.k
@@ -317,11 +319,13 @@ def decode_batch(gen: GeneratorMatrix, received: np.ndarray, erased: np.ndarray)
     if (erased.sum(axis=1) > spec.p).any():
         raise ValueError(f"a block lost more than the {spec.p} packets {spec} can lose")
     sources = received[:, :k].copy()
+    packets = received.reshape(-1, received.shape[2])  # one row per slot
     counts = erased[:, :k].sum(axis=1)
     for e in np.unique(counts[counts > 0]).tolist():
         group = np.flatnonzero(counts == e)
         lost, nodes, coefficients = _coefficients(gen, erased[group], e)
-        sources[group[:, None], lost] = mat_mul(coefficients, received[group[:, None], nodes])
+        rows = packets.take(nodes + spec.n * group[:, None], axis=0)
+        sources[group[:, None], lost] = mat_mul(coefficients, rows)
         mac_counter.per_byte += len(group) * e * k
     return sources
 

@@ -5,10 +5,11 @@ work); matrices are 2-D uint8 numpy arrays, and `mat_mul` and `mat_invert`
 also take a batch of them as one 3-D array.  Multiplication uses log/antilog
 tables built once at import for the reduction polynomial x^8+x^4+x^3+x^2+1
 (0x11D), plus a full 256x256 product table so that a matrix product is a
-table gather.  `mat_mul` is the codec's one bulk product; `mat_invert` is
-the reference inverse that the tests and the MDS check use, off every
-encode and decode path.  Everything here is pure and operates on immutable
-tables, so concurrent use is safe.
+table gather, run in blocks whose longer axis (the columns, or the batch
+for a batch of short products) is innermost.  `mat_mul` is the codec's one
+bulk product; `mat_invert` is the reference inverse that the tests and the
+MDS check use, off every encode and decode path.  Everything here is pure
+and operates on immutable tables, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ MUL_TABLE.setflags(write=False)
 INV_TABLE.setflags(write=False)
 _FLAT_MUL = MUL_TABLE.ravel()
 _INV_INDEX = INV_TABLE.astype(np.intp)  # as an index array, it needs no cast
-# intp entries per mat_mul gather block: 64 KiB of indices
+# entries per mat_mul gather block, 64 KiB of indices: intp entries in a
+# block of columns, uint16 entries in a block of whole batch items
 _GATHER_INDICES = 1 << 13
+_BATCH_INDICES = 1 << 15
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -107,8 +110,18 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row of `a` and block of `b`, so the work is one table lookup per
     multiply-accumulate.  A block spans some batch items and some columns,
     sized so the gather's index block (items x inner dimension x columns)
-    stays within 64 KiB and cache-resident: temporary memory does not grow
-    with the batch or the column count.
+    holds a fixed number of entries and stays cache-resident: temporary
+    memory does not grow with the batch or the column count.
+
+    numpy runs its inner loops along a block's last axis, so that axis is
+    the longer one.  Wide products (every 2-D one, every batch of one, the
+    codec's packets) take blocks of columns laid out (inner, items,
+    columns), with 64 KiB of intp indices.  A batch of short products,
+    whose column block would hold more items than columns (the Monte-Carlo
+    validator's (B, e, k) x (B, k, 4)), takes blocks of whole items laid
+    out (inner, columns, items), the batch innermost, with 64 KiB of uint16
+    indices (`take` widens them to intp, 256 KiB): laid out the other way,
+    every add, gather and XOR would run 4-element loops.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -126,6 +139,17 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a3, b3, out3 = _batched(a), _batched(b), _batched(out)
     width = min(columns, max(1, _GATHER_INDICES // inner))
     items = max(1, _GATHER_INDICES // (inner * width))
+    if min(items, len(a3)) > width:
+        # then width == columns: blocks of whole items, batch innermost
+        items = max(1, _BATCH_INDICES // (inner * columns))
+        for lo in range(0, len(a3), items):
+            # a << 8 | b fits uint16: MUL_TABLE[a, b] for every MAC of the block
+            offsets = (a3[lo : lo + items].astype(np.uint16) << 8).transpose(1, 2, 0)[:, :, None]
+            block = b3[lo : lo + items].transpose(1, 2, 0)
+            dest = out3[lo : lo + items].transpose(1, 2, 0)
+            for row_offsets, row_dest in zip(offsets, dest):
+                np.bitwise_xor.reduce(_FLAT_MUL.take(row_offsets | block), axis=0, out=row_dest)
+        return out
     for lo in range(0, len(a3), items):
         # a[i, r, j] << 8 | b[i, j, c] indexes MUL_TABLE[a[i, r, j], b[i, j, c]];
         # inner dimension first, so each gather is XOR-reduced over axis 0

@@ -5,6 +5,7 @@ acceptance suite; here we only exercise the machinery at toy sizes.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,27 @@ def test_bench_rejects_unknown_mode():
         run_bench(cfg, modes=("turbo",))
     with pytest.raises(ValueError):
         run_bench(cfg, phases=("transcode",))
+
+
+def test_run_bench_refuses_codes_it_cannot_build(monkeypatch):
+    # every cell's code is checked before any timing call is built: no split
+    # at parity 1 or k = 1, no code longer than 255; one error names every k
+    def no_call(cfg, k, mode):
+        raise AssertionError("a timing call was built")
+
+    monkeypatch.setattr(bench_mod, "_CALLS", dict.fromkeys(bench_mod.PHASES, no_call))
+    for modes, k_values, parity, bad in [
+        (("plain", "partitioned"), (1, 2, 8), 1, "k=[1, 2, 8]"),
+        (("partitioned",), (1, 8, 9), 4, "k=[1]"),
+        (("plain",), (200, 247, 248, 250), 8, "k=[248, 250]"),
+    ]:
+        cfg = BenchConfig(k_values=k_values, parity=parity, packet_size=64, iterations=10)
+        with pytest.raises(ValueError, match=re.escape(f"{bad} with parity {parity}")):
+            run_bench(cfg, modes=modes)
+    # the plain mode needs no split, so parity 1 and k = 1 are fine there
+    monkeypatch.undo()
+    cfg = BenchConfig(k_values=(1, 2), parity=1, packet_size=64, iterations=10)
+    assert len(run_bench(cfg, modes=("plain",), phases=("encode",))) == 2
 
 
 def test_bench_invert_point():

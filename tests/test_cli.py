@@ -269,6 +269,25 @@ def test_bench_malformed_range(capsys):
     assert code == 2
 
 
+def test_bench_refuses_a_sweep_it_cannot_run(capsys):
+    # checked before the banner: no output at all, exit 1, the bad k named
+    for argv, bad in [
+        (("--k-range", "1:2:1", "--parity", "1"), "k=[1, 2]"),
+        (("--k-range", "1:2:1", "--parity", "1", "--mode", "partitioned"), "k=[1, 2]"),
+        (("--k-range", "250:250:1", "--mode", "plain"), "k=[250]"),
+    ]:
+        code, out, err = run(capsys, "bench", *argv, "--iterations", "10")
+        assert code == 1
+        assert out == ""
+        assert "benchmarking" not in err
+        assert bad in err
+    code, out, err = run(capsys, "bench", "--k-range", "1:2:1", "--parity", "1",
+                         "--mode", "plain", "--phase", "encode",
+                         "--packet-size", "8", "--iterations", "10")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 2
+
+
 def test_bench_takes_no_seed(capsys):
     # the payload bytes do not change the timings, so there is none to set
     code, out, err = run(capsys, "bench", "--seed", "1", "--iterations", "10")

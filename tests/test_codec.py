@@ -433,6 +433,25 @@ def test_decode_batch_matches_decode_per_block():
     assert np.array_equal(decode_batch(gen, garbage, erased), sources)
 
 
+def test_decode_batch_reads_non_contiguous_blocks():
+    # the solve gathers whole packets, which must also work on views whose
+    # bytes or slots are strided: every result equals the contiguous one's
+    spec = CodeSpec(12, 8)
+    gen = build_generator(spec)
+    rng = np.random.default_rng(16)
+    coded = coded_array(gen, random_payloads(rng, spec.k, size=5))
+    erased = np.zeros((40, spec.n), dtype=bool)
+    for row in erased:
+        row[rng.choice(spec.n, rng.integers(0, spec.p + 1), replace=False)] = True
+    received = np.where(erased[:, :, None], np.uint8(0), coded)
+    expected = decode_batch(gen, received, erased)
+    assert np.array_equal(expected, np.broadcast_to(coded[: spec.k], expected.shape))
+    wide = np.zeros((40, 2 * spec.n, 10), np.uint8)
+    for view in (wide[:, : spec.n, ::2], wide[:, ::2, 1::2], wide[:, ::-2, :5]):
+        view[:] = received
+        assert np.array_equal(decode_batch(gen, view, erased), expected)
+
+
 def test_decode_batch_checks_shapes_and_code():
     spec = CodeSpec(6, 4)
     gen = build_generator(spec)

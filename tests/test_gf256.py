@@ -1,9 +1,12 @@
 """GF(256) arithmetic against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fecpart.gf256 import (
+    _BATCH_INDICES,
     _GATHER_INDICES,
     EXP_TABLE,
     LOG_TABLE,
@@ -213,19 +216,64 @@ def test_mat_invert_rejects_non_square():
 
 def test_mat_mul_batch_matches_each_item():
     # a 3-D product is the 2-D product of each item, also where the index
-    # blocks split the batch (small L) or the columns (large L)
+    # blocks split the batch (small L) or the columns (large L), on either
+    # side of the switch to batch-major blocks: a column block of c columns
+    # holding more than c items (here 4 columns at inner 40; 8 columns at
+    # inner 128, where a block holds exactly 8 items, and at inner 113, 9)
     rng = np.random.default_rng(19)
-    for count, rows, inner, cols in [(1, 3, 97, 1500), (300, 4, 40, 4), (5, 2, 9, 3), (7, 8, 100, 90)]:
+    batch_block = _BATCH_INDICES // (40 * 4)  # items per batch-major block
+    shapes = [
+        (1, 3, 97, 1500), (300, 4, 40, 4), (5, 2, 9, 3), (7, 8, 100, 90),
+        (4, 3, 40, 4), (5, 3, 40, 4),  # items == width, one past it
+        (20, 2, 128, 8), (20, 2, 113, 8),  # the same, set by the index budget
+        (2 * batch_block + 7, 2, 40, 4),  # several batch-major blocks, ragged last
+        (50, 2, 1, 3), (3, 4, 1, 1500),  # inner == 1, both orders
+    ]
+    for count, rows, inner, cols in shapes:
         a = rng.integers(0, 256, (count, rows, inner), dtype=np.uint8)
         b = rng.integers(0, 256, (count, inner, cols), dtype=np.uint8)
         out = mat_mul(a, b)
         assert out.shape == (count, rows, cols)
         for item in range(count):
             assert np.array_equal(out[item], mat_mul(a[item], b[item]))
+        # the same product from non-contiguous views of the same values
+        a_view = np.zeros((count, rows, 2 * inner), np.uint8)[:, :, ::2]
+        b_view = np.zeros((count, 2 * inner, cols), np.uint8)[:, ::-2]
+        a_view[:], b_view[:] = a, b
+        assert np.array_equal(mat_mul(a_view, b_view), out)
     a = rng.integers(0, 256, (3, 2, 5), dtype=np.uint8)
     b = rng.integers(0, 256, (3, 5, 4), dtype=np.uint8)
     assert np.array_equal(mat_mul(a, b)[1], reference_mat_mul(a[1], b[1]))
+    # one item of a batch-major product against the scalar loop
+    a = rng.integers(0, 256, (batch_block + 3, 3, 40), dtype=np.uint8)
+    b = rng.integers(0, 256, (batch_block + 3, 40, 4), dtype=np.uint8)
+    assert np.array_equal(mat_mul(a, b)[-2], reference_mat_mul(a[-2], b[-2]))
     assert mat_mul(np.zeros((0, 2, 3), np.uint8), np.zeros((0, 3, 4), np.uint8)).shape == (0, 2, 4)
+
+
+def product_peak(a, b):
+    # peak traced memory of one product, net of the output it returns
+    tracemalloc.start()
+    try:
+        out = mat_mul(a, b)
+        return tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_mat_mul_temporaries_flat_in_batch_and_columns():
+    # a gather block is sized by the index budget alone: four times the
+    # batch (batch-major blocks) or the columns (column blocks) must not
+    # raise the peak beyond the output itself
+    rng = np.random.default_rng(29)
+    a = rng.integers(0, 256, (16384, 3, 40), dtype=np.uint8)
+    b = rng.integers(0, 256, (16384, 40, 4), dtype=np.uint8)
+    small, large = product_peak(a[:4096], b[:4096]), product_peak(a, b)
+    assert large <= small + 1024, (small, large)
+    a = rng.integers(0, 256, (8, 100), dtype=np.uint8)
+    b = rng.integers(0, 256, (100, 6000), dtype=np.uint8)
+    small, large = product_peak(a, b[:, :1500]), product_peak(a, b)
+    assert large <= small + 1024, (small, large)
 
 
 def test_mat_mul_batch_shape_mismatch():

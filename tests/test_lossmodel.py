@@ -497,6 +497,37 @@ def test_monte_carlo_counts_the_patterns_it_verified():
         assert (other.patterns_verified, other.patterns_total) == (None, None)
 
 
+@pytest.mark.parametrize("code, p_e, trials, seed, expected", [
+    # the three codes perfbench simulates, and one run of two draw chunks
+    (CodeSpec(44, 40), 0.1, 1000, 1, (0.0617, 0.004516905335493517, 530, 544)),
+    (split(CodeSpec(48, 40)), 0.05, 1000, 1, (0.000775, 0.0005842747778366066, 571, 1308)),
+    (CodeSpec(108, 100), 0.02, 1000, 1, (8e-05, 0.0001568, 717, 871)),
+    (CodeSpec(20, 16), 0.1, 70000, 5, (0.01140625, 0.00040944893470837523, 4854, 54091)),
+])
+def test_monte_carlo_reports_are_pinned(code, p_e, trials, seed, expected):
+    # every field of the report, exactly: a faster validator must count the
+    # same losses and verify the same distinct patterns
+    if trials > 1000:
+        assert trials > lossmodel._CHUNK  # the last case spans two draw chunks
+    plr, half_width, verified, total = expected
+    assert monte_carlo_plr(code, BecChannel(p_e), trials, seed) == PlrReport(
+        plr=plr, method="monte_carlo", trials=trials, half_width=half_width,
+        patterns_verified=verified, patterns_total=total)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 14, 32])
+def test_distinct_rows_match_numpy_unique(width):
+    # the validator's dedup gives np.unique's rows in np.unique's order,
+    # also where rows agree in their first 8-byte word and differ after it;
+    # bytes 0, 127 and 254 check that the keys compare as unsigned
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, 3, (500, width), dtype=np.uint8) * np.uint8(0x7F)
+    rows[250:, : min(width, 8)] = rows[0, : min(width, 8)]
+    assert np.array_equal(lossmodel._distinct_rows(rows), np.unique(rows, axis=0))
+    empty = np.zeros((0, width), np.uint8)
+    assert lossmodel._distinct_rows(empty).shape == (0, width)
+
+
 def test_monte_carlo_memory_flat_in_trials():
     # trials are simulated in fixed-size chunks, so four times the trials
     # must not take four times the memory
