@@ -3,18 +3,18 @@
 Measures wall time per operation over a sweep of block lengths, reporting
 median and median absolute deviation (scheduler noise on small boards is
 heavy-tailed, so means mislead).  `run_bench` is the one entry point: it
-times every requested (mode, phase, k) point in one round-robin sweep, so
-all points share the machine's state.  Timed regions cover the public codec
-call only (`encode`/`decode` plain, `encode_partitioned`/
-`decode_partitioned` partitioned): generator construction, payload
-allocation and RNG all happen outside.
-Decode is timed in its worst case: as many erasures as the parent has
-parity, every one hitting a source packet (dealt over the code's parts).
-The payload bytes are fixed, since they do not change the work.  The
-"invert" phase times, on those same erasures, the decoder's closed-form
-stand-in for an inversion: the step `codec._coefficients` of each part that
-loses a source, touching no payload.  Compare only ratios of points from
-one run on one machine.
+builds each (mode, k) point once, then times every requested (mode, phase,
+k) cell in one round-robin sweep, so all cells share the machine's state
+and every phase of a point times calls on the same code, generators,
+payload and erasures.  Timed regions cover the public codec call only
+(`encode`/`decode` plain, `encode_partitioned`/`decode_partitioned`
+partitioned); all building happens outside.  Decode is timed in its worst
+case: as many erasures as the parent has parity, every one hitting a source
+packet (dealt over the code's parts).  The payload bytes are fixed, since
+they do not change the work.  The "invert" phase times, on those same
+erasures, the decoder's closed-form stand-in for an inversion: the step
+`codec._coefficients` of each part that loses a source, touching no
+payload.  Compare only ratios of points from one run on one machine.
 
 Measurement is strictly single-threaded: time one process, one thread, and
 nothing concurrent.
@@ -115,19 +115,10 @@ def _source_block(cfg: BenchConfig, spec: CodeSpec):
 
 
 def _code(cfg: BenchConfig, k: int, mode: str):
-    # one point's parent code, the code its mode runs, and one generator per part
+    # a point's parent code C(k + parity, k) and the code its mode runs: the
+    # parent itself, or its split
     spec = CodeSpec(k + cfg.parity, k)
-    code = spec if mode == "plain" else split(spec)
-    return spec, code, half_generators(code)
-
-
-def _encode_call(cfg: BenchConfig, k: int, mode: str):
-    spec, code, gens = _code(cfg, k, mode)
-    source = _source_block(cfg, spec)
-    if mode == "plain":
-        (gen,) = gens
-        return lambda: encode(gen, source)
-    return lambda: encode_partitioned(code, source, gens)
+    return spec, spec if mode == "plain" else split(spec)
 
 
 def _worst_case(cfg: BenchConfig, code) -> tuple:
@@ -138,35 +129,32 @@ def _worst_case(cfg: BenchConfig, code) -> tuple:
     return tuple(min((e + m - 1 - j) // m, part.k) for j, part in enumerate(code.parts))
 
 
-def _decode_call(cfg: BenchConfig, k: int, mode: str):
-    spec, code, gens = _code(cfg, k, mode)
+def _point(cfg: BenchConfig, k: int, mode: str) -> dict:
+    # the timed call of each phase at one (mode, k) point, all on one code,
+    # one generator per part, one payload and one worst-case erasure set
+    spec, code = _code(cfg, k, mode)
+    gens = half_generators(code)
     source = _source_block(cfg, spec)
     lost = _worst_case(cfg, code)
     if mode == "plain":
         (gen,) = gens
         rx = encode(gen, source).erase(range(lost[0]))
-        return lambda: decode(gen, rx)
-    coded = encode_partitioned(code, source, gens)
-    received = tuple(block.erase(range(e)) for block, e in zip(coded, lost, strict=True))
-    return lambda: decode_partitioned(code, received, gens)
-
-
-def _invert_call(cfg: BenchConfig, k: int, mode: str):
-    # the coefficient step of each part's decode, on its one-row erasure
-    # mask; a part that loses no source takes decode's fast path and no step
-    _, code, gens = _code(cfg, k, mode)
-    lost = _worst_case(cfg, code)
+        calls = {"encode": lambda: encode(gen, source), "decode": lambda: decode(gen, rx)}
+    else:
+        coded = encode_partitioned(code, source, gens)
+        received = tuple(block.erase(range(e)) for block, e in zip(coded, lost, strict=True))
+        calls = {"encode": lambda: encode_partitioned(code, source, gens),
+                 "decode": lambda: decode_partitioned(code, received, gens)}
+    # invert: the coefficient step of each part's decode, on its one-row
+    # erasure mask; a part that loses no source takes decode's fast path
     solves = [(gen, np.arange(part.n)[None] < e, e)
               for part, gen, e in zip(code.parts, gens, lost, strict=True) if e]
 
-    def fn():
+    def invert():
         for solve in solves:
             _coefficients(*solve)
 
-    return fn
-
-
-_CALLS = {"encode": _encode_call, "decode": _decode_call, "invert": _invert_call}
+    return {**calls, "invert": invert}
 
 
 def _check_codes(cfg: BenchConfig, modes) -> None:
@@ -175,9 +163,8 @@ def _check_codes(cfg: BenchConfig, modes) -> None:
     bad, reason = [], None
     for k in cfg.k_values:
         try:
-            spec = CodeSpec(k + cfg.parity, k)
-            if "partitioned" in modes:
-                split(spec)
+            for mode in modes:
+                _code(cfg, k, mode)
         except ValueError as exc:
             bad.append(k)
             reason = reason or exc
@@ -202,8 +189,9 @@ def run_bench(cfg: BenchConfig, modes=MODES, phases=PHASES) -> list:
             if name not in known:
                 raise ValueError(f"unknown {kind} {name!r}")
     _check_codes(cfg, modes)
+    built = {(mode, k): _point(cfg, k, mode) for mode in modes for k in cfg.k_values}
     cells = [(mode, phase, k) for mode in modes for phase in phases for k in cfg.k_values]
-    fns = [_CALLS[phase](cfg, k, mode) for mode, phase, k in cells]
+    fns = [built[mode, k][phase] for mode, phase, k in cells]
     return [
         BenchPoint(k, mode, phase, median, mad, cfg.iterations,
                    0 if phase == "invert" else cfg.packet_size, cfg.parity)

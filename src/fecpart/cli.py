@@ -106,24 +106,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    # every row is computed before any is printed: a cell that fails leaves
+    # stdout empty, not a truncated CSV
     if args.what == "table1":
-        header = "k," + ",".join(f"{pe:g}" for pe in TABLE1_PE_VALUES)
-        print(header)
+        lines = ["k," + ",".join(f"{pe:g}" for pe in TABLE1_PE_VALUES)]
         for k in TABLE1_K_VALUES:
-            ns = [
-                min_n_for_target(k, BecChannel(pe), TABLE1_PLR_TARGET).n
-                for pe in TABLE1_PE_VALUES
-            ]
-            print(f"{k}," + ",".join(str(n) for n in ns))
-        return 0
-
-    print("pe,k,excess")
-    for pe in FIG2_PE_VALUES:
-        ch = BecChannel(pe)
-        for k in FIG2_K_RANGE:
-            parent = CodeSpec(k + args.parity, k)
-            ps = distribute_excess(parent, ch, args.delta)
-            print(f"{pe:g},{k},{ps.excess}")
+            ns = [min_n_for_target(k, BecChannel(pe), TABLE1_PLR_TARGET).n
+                  for pe in TABLE1_PE_VALUES]
+            lines.append(f"{k}," + ",".join(str(n) for n in ns))
+    else:
+        lines = ["pe,k,excess"]
+        for pe in FIG2_PE_VALUES:
+            ch = BecChannel(pe)
+            for k in FIG2_K_RANGE:
+                ps = distribute_excess(CodeSpec(k + args.parity, k), ch, args.delta)
+                lines.append(f"{pe:g},{k},{ps.excess}")
+    print("\n".join(lines))
     return 0
 
 

@@ -18,7 +18,7 @@ from fecpart.bench import (
     run_bench,
     to_csv,
 )
-from fecpart.codec import CodeSpec, decode, encode
+from fecpart.codec import CodeSpec, build_generator, decode, encode
 
 TINY = dict(parity=4, packet_size=64, iterations=10)
 
@@ -65,12 +65,12 @@ def test_bench_rejects_unknown_mode():
 
 
 def test_run_bench_refuses_codes_it_cannot_build(monkeypatch):
-    # every cell's code is checked before any timing call is built: no split
-    # at parity 1 or k = 1, no code longer than 255; one error names every k
-    def no_call(cfg, k, mode):
-        raise AssertionError("a timing call was built")
+    # every cell's code is checked before any point is built: no split at
+    # parity 1 or k = 1, no code longer than 255; one error names every k
+    def no_point(cfg, k, mode):
+        raise AssertionError("a point was built")
 
-    monkeypatch.setattr(bench_mod, "_CALLS", dict.fromkeys(bench_mod.PHASES, no_call))
+    monkeypatch.setattr(bench_mod, "_point", no_point)
     for modes, k_values, parity, bad in [
         (("plain", "partitioned"), (1, 2, 8), 1, "k=[1, 2, 8]"),
         (("partitioned",), (1, 8, 9), 4, "k=[1]"),
@@ -125,6 +125,20 @@ def test_invert_phase_solves_the_decode_phase_erasures(monkeypatch, erased):
         (CodeSpec(12, 8), 4), (CodeSpec(6, 4), 2)}
 
 
+def test_each_point_is_built_once(monkeypatch):
+    # one generator set per (mode, k) point, shared by all three phases
+    built = []
+    real_half_generators = bench_mod.half_generators
+
+    def count(code):
+        built.append(code)
+        return real_half_generators(code)
+
+    monkeypatch.setattr(bench_mod, "half_generators", count)
+    run_bench(BenchConfig(k_values=(8, 12), **TINY))
+    assert len(built) == 4
+
+
 def test_run_bench_grid_size():
     cfg = BenchConfig(k_values=(8, 12), **TINY)
     points = run_bench(cfg, modes=("plain", "partitioned"), phases=("encode",))
@@ -151,10 +165,12 @@ def test_decode_fast_path_is_much_cheaper():
     # a block that lost no source decodes on the fast path, well under the
     # bench's worst-case decode of the same code and payload
     cfg = BenchConfig(k_values=(50,), parity=8, packet_size=1500, iterations=20)
-    spec, _, (gen,) = bench_mod._code(cfg, 50, "plain")
+    spec = CodeSpec(58, 50)
+    gen = build_generator(spec)
     clean = encode(gen, bench_mod._source_block(cfg, spec))
     (erased, _), (fast, _) = bench_mod._measure(
-        [bench_mod._decode_call(cfg, 50, "plain"), lambda: decode(gen, clean)], cfg.iterations)
+        [bench_mod._point(cfg, 50, "plain")["decode"], lambda: decode(gen, clean)],
+        cfg.iterations)
     assert fast <= 0.5 * erased
 
 

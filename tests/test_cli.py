@@ -246,6 +246,20 @@ def test_reproduce_fig2_shape_and_majority_zero(capsys):
     assert zeros > len(rows) / 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--parity", "146"), "n=256 exceeds"),
+    (("--parity", "0"), "need 1 <= k < n"),
+    (("--delta", "nan"), "delta must be > 0"),
+])
+def test_reproduce_fig2_failure_prints_no_rows(capsys, argv, message):
+    # every row is computed before the first is printed, so a cell that
+    # fails leaves no partial CSV behind
+    code, out, err = run(capsys, "reproduce", "fig2", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_bench_csv_grid(capsys):
     code, out, err = run(capsys, "bench", "--k-range", "10:30:10",
                          "--parity", "4", "--packet-size", "64",
