@@ -66,10 +66,12 @@ def cmd_plan(args) -> int:
 
 def _code_from_args(args):
     """The code the flags describe: C(n, k), or its split with --partition."""
-    if not args.partition:
-        return CodeSpec(args.n, args.k)
     dims = (args.n1, args.k1, args.n2, args.k2)
-    if any(d is None for d in dims):
+    if not args.partition:
+        if dims != (None,) * 4:
+            raise UsageError("--n1 --k1 --n2 --k2 describe a split: they require --partition")
+        return CodeSpec(args.n, args.k)
+    if None in dims:
         raise UsageError("--partition requires --n1 --k1 --n2 --k2")
     return PartitionSpec(
         parent=CodeSpec(args.n, args.k),

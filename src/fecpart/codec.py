@@ -33,9 +33,6 @@ from .gf256 import EXP_TABLE, LOG_TABLE, identity, mat_mul
 from .gf256 import mat_invert  # noqa: F401
 
 MAX_CODE_LENGTH = 255  # one codeword symbol per nonzero field element
-# the antilog table over three periods: a log in -510..254 indexes it at +510
-_EXP3 = np.tile(EXP_TABLE[:255], 3)
-_LOG16 = LOG_TABLE.astype(np.int16)
 
 
 class UnrecoverableBlockError(Exception):
@@ -213,15 +210,15 @@ def _lagrange(log_sums, targets, nodes, dropped, added) -> np.ndarray:
     logs = log_sums[points]
     points = points.astype(np.uint8)
     moved = np.concatenate([dropped, added], axis=-1).astype(np.uint8)
-    terms = _LOG16.take(moved[..., :, None] ^ points[..., None, :])
+    terms = LOG_TABLE.take(moved[..., :, None] ^ points[..., None, :])
     logs -= terms[..., :d, :].sum(axis=-2)
     logs += terms[..., d:, :].sum(axis=-2)
     logs = (logs % 255).astype(np.int16)
     t = targets.shape[-1]
-    exponents = _LOG16.take(points[..., :t, None] ^ points[..., None, t:])
+    exponents = LOG_TABLE.take(points[..., :t, None] ^ points[..., None, t:])
     np.subtract(logs[..., :t, None] + 510, exponents, out=exponents)
     exponents -= logs[..., None, t:]
-    return _EXP3.take(exponents)
+    return EXP_TABLE.take(exponents)
 
 
 def build_generator(spec: CodeSpec) -> GeneratorMatrix:

@@ -2,14 +2,15 @@
 
 Field elements are plain ints in 0..255 (or uint8 numpy arrays for bulk
 work); matrices are 2-D uint8 numpy arrays, and `mat_mul` and `mat_invert`
-also take a batch of them as one 3-D array.  Multiplication uses log/antilog
-tables built once at import for the reduction polynomial x^8+x^4+x^3+x^2+1
-(0x11D), plus a full 256x256 product table so that a matrix product is a
-table gather, run in blocks whose longer axis (the columns, or the batch
-for a batch of short products) is innermost.  `mat_mul` is the codec's one
-bulk product; `mat_invert` is the reference inverse that the tests and the
-MDS check use, off every encode and decode path.  Everything here is pure
-and operates on immutable tables, so concurrent use is safe.
+also take a batch of them as one 3-D array.  These are the package's only
+field tables, built once at import for the reduction polynomial
+x^8+x^4+x^3+x^2+1 (0x11D): int16 logs, antilogs over three periods (the
+codec sums logs with no mod 255) and a 256x256 product table, so that a
+matrix product is a table gather, run in one loop over blocks of 64 KiB of
+indices.  `mat_mul` is the codec's one bulk product; `mat_invert` is the
+reference inverse that the tests and the MDS check use, off every encode
+and decode path.  Everything here is pure and operates on immutable tables,
+so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ class SingularMatrixError(ValueError):
 
 
 def _build_tables():
-    exp = np.zeros(510, dtype=np.uint8)
-    log = np.zeros(256, dtype=np.int64)
+    exp = np.zeros(765, dtype=np.uint8)
+    log = np.zeros(256, dtype=np.int16)
     x = 1
     for i in range(255):
         exp[i] = x
@@ -33,8 +34,8 @@ def _build_tables():
         x <<= 1
         if x & 0x100:
             x ^= REDUCING_POLY
-    # doubled antilog table avoids a mod 255 in the scalar hot path
-    exp[255:510] = exp[0:255]
+    # three periods: EXP[i] == EXP[i % 255] for every i < 765
+    exp[255:] = np.tile(exp[:255], 2)
 
     mul = np.zeros((256, 256), dtype=np.uint8)
     nz = np.arange(1, 256)
@@ -51,11 +52,7 @@ LOG_TABLE.setflags(write=False)
 MUL_TABLE.setflags(write=False)
 INV_TABLE.setflags(write=False)
 _FLAT_MUL = MUL_TABLE.ravel()
-_INV_INDEX = INV_TABLE.astype(np.intp)  # as an index array, it needs no cast
-# entries per mat_mul gather block, 64 KiB of indices: intp entries in a
-# block of columns, uint16 entries in a block of whole batch items
-_GATHER_INDICES = 1 << 13
-_BATCH_INDICES = 1 << 15
+_GATHER_BYTES = 1 << 16  # the index block of one mat_mul gather
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -88,7 +85,7 @@ def gf_pow(a: int, e: int) -> int:
         if e < 0:
             raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
         return 0
-    return int(EXP_TABLE[(LOG_TABLE[a] * e) % 255])
+    return int(EXP_TABLE[(int(LOG_TABLE[a]) * e) % 255])
 
 
 def identity(n: int) -> np.ndarray:
@@ -110,18 +107,18 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row of `a` and block of `b`, so the work is one table lookup per
     multiply-accumulate.  A block spans some batch items and some columns,
     sized so the gather's index block (items x inner dimension x columns)
-    holds a fixed number of entries and stays cache-resident: temporary
-    memory does not grow with the batch or the column count.
+    fills one 64 KiB budget (`_GATHER_BYTES`) and stays cache-resident:
+    temporary memory does not grow with the batch or the column count.
 
     numpy runs its inner loops along a block's last axis, so that axis is
-    the longer one.  Wide products (every 2-D one, every batch of one, the
-    codec's packets) take blocks of columns laid out (inner, items,
-    columns), with 64 KiB of intp indices.  A batch of short products,
+    the longer one; the layout is chosen once, and one loop runs over (item
+    block, column block, row of `a`).  Wide products (every 2-D one, every
+    batch of one, the codec's packets) take blocks of columns laid out
+    (inner, items, columns), with intp indices.  A batch of short products,
     whose column block would hold more items than columns (the Monte-Carlo
-    validator's (B, e, k) x (B, k, 4)), takes blocks of whole items laid
-    out (inner, columns, items), the batch innermost, with 64 KiB of uint16
-    indices (`take` widens them to intp, 256 KiB): laid out the other way,
-    every add, gather and XOR would run 4-element loops.
+    validator's (B, e, k) x (B, k, 4)), takes blocks of whole items laid out
+    (inner, columns, items), the batch innermost, with uint16 indices: laid
+    out the other way, every OR, gather and XOR would run 4-element loops.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -137,28 +134,25 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if inner == 0 or columns == 0:
         return out
     a3, b3, out3 = _batched(a), _batched(b), _batched(out)
-    width = min(columns, max(1, _GATHER_INDICES // inner))
-    items = max(1, _GATHER_INDICES // (inner * width))
+    # blocks of columns laid out (inner, items, columns): a row's offsets span the columns
+    dtype, order, spread = np.intp, (1, 0, 2), np.s_[..., None]
+    indices = _GATHER_BYTES // np.dtype(dtype).itemsize
+    width = min(columns, max(1, indices // inner))
+    items = max(1, indices // (inner * width))
     if min(items, len(a3)) > width:
         # then width == columns: blocks of whole items, batch innermost
-        items = max(1, _BATCH_INDICES // (inner * columns))
-        for lo in range(0, len(a3), items):
-            # a << 8 | b fits uint16: MUL_TABLE[a, b] for every MAC of the block
-            offsets = (a3[lo : lo + items].astype(np.uint16) << 8).transpose(1, 2, 0)[:, :, None]
-            block = b3[lo : lo + items].transpose(1, 2, 0)
-            dest = out3[lo : lo + items].transpose(1, 2, 0)
+        dtype, order, spread = np.uint16, (1, 2, 0), np.s_[:, :, None]
+        items = max(1, _GATHER_BYTES // np.dtype(dtype).itemsize // (inner * width))
+    for lo in range(0, len(a3), items):
+        # a[i, r, j] << 8 | b[i, j, c] indexes MUL_TABLE[a[i, r, j], b[i, j, c]]
+        # (it fits uint16); inner dimension first, so each gather is
+        # XOR-reduced over axis 0
+        offsets = (a3[lo : lo + items].astype(dtype) << 8).transpose(1, 2, 0)[spread]
+        for c in range(0, columns, width):
+            block = b3[lo : lo + items, :, c : c + width].transpose(order)
+            dest = out3[lo : lo + items, :, c : c + width].transpose(order)
             for row_offsets, row_dest in zip(offsets, dest):
                 np.bitwise_xor.reduce(_FLAT_MUL.take(row_offsets | block), axis=0, out=row_dest)
-        return out
-    for lo in range(0, len(a3), items):
-        # a[i, r, j] << 8 | b[i, j, c] indexes MUL_TABLE[a[i, r, j], b[i, j, c]];
-        # inner dimension first, so each gather is XOR-reduced over axis 0
-        offsets = (a3[lo : lo + items].astype(np.intp) << 8).transpose(1, 2, 0)[..., None]
-        for c in range(0, columns, width):
-            block = b3[lo : lo + items, :, c : c + width].transpose(1, 0, 2)
-            dest = out3[lo : lo + items, :, c : c + width].transpose(1, 0, 2)
-            for row_offsets, row_dest in zip(offsets, dest):
-                np.bitwise_xor.reduce(_FLAT_MUL.take(row_offsets + block), axis=0, out=row_dest)
     return out
 
 
@@ -195,7 +189,7 @@ def mat_invert(m: np.ndarray) -> np.ndarray:
             aug[rows], aug[moved, col] = aug[moved, col], aug[rows]
         # the scaled pivot rows have a 1 in this column, so clearing it from
         # every row zeroes the pivot row too, which then takes the scaled row
-        row = MUL_TABLE[_INV_INDEX[pivots][:, None], aug[:, col]]
+        row = MUL_TABLE[INV_TABLE[pivots][:, None], aug[:, col]]
         aug ^= _FLAT_MUL.take((factors.astype(np.intp) << 8)[..., None] | row[:, None])
         aug[:, col] = row
     inverse = aug[:, :, n:]

@@ -26,8 +26,7 @@ Monte-Carlo driver that pushes real packets through the actual codec, part
 by part: each part's distinct erasure patterns go through the codec's
 batched erasure solve (`decode_batch`, whose coefficients `decode` shares),
 a chunk per call, and one of them through `decode` as well.  The distinct
-patterns come from one sort of 64-bit keys per chunk of trials
-(`_distinct_rows`), not from `np.unique(axis=0)`'s row-by-row byte compares.
+patterns come from one sort of 64-bit keys per chunk (`_distinct_rows`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ acceptance suite; here we only exercise the machinery at toy sizes.
 """
 
 import dataclasses
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +184,15 @@ def test_csv_header_and_shape():
     assert lines[0] == CSV_HEADER
     assert lines[1] == "10,plain,encode,1.250000,0.500000,10,64,4"
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parents[1].glob("BENCH_*.json")),
+                         ids=lambda path: path.name)
+def test_bench_record_names_its_machine_and_code(path):
+    # a committed measurement says where it ran and which code each side ran
+    record = json.loads(path.read_text())
+    assert {"python", "numpy", "cpu", "nproc"} <= record["env"].keys()
+    assert record["sides"]
+    for side in record["sides"].values():
+        assert isinstance(side["git_commit"], str) and side["git_commit"]
+        assert re.fullmatch(r"[0-9a-f]{64}", side["src_sha256"])

@@ -170,6 +170,18 @@ def test_analyze_partition_missing_dims_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [("analyze",), ("simulate", "--trials", "100")])
+def test_half_flags_without_partition_are_usage_error(capsys, command):
+    # without --partition the halves would be dropped and the plain code's
+    # PLR printed for the split the flags describe
+    code, out, err = run(capsys, *command, "--n", "48", "--k", "40", "--pe", "0.05",
+                         "--n1", "24", "--k1", "20", "--n2", "24", "--k2", "20")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "require --partition" in err
+
+
 def test_simulate_zero_channel(capsys):
     code, out, _ = run(capsys, "simulate", "--n", "6", "--k", "4", "--pe", "0",
                        "--trials", "1000")

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fecpart.gf256 import (
-    _BATCH_INDICES,
-    _GATHER_INDICES,
+    _GATHER_BYTES,
     EXP_TABLE,
     LOG_TABLE,
     MUL_TABLE,
@@ -105,6 +104,18 @@ def test_multiplicative_group_order():
     assert int(EXP_TABLE[255]) == int(EXP_TABLE[0])
 
 
+def test_tables_span_the_logs_the_decoder_sums():
+    # codec._lagrange indexes EXP_TABLE with a log sum in 0..764 and takes
+    # int16 logs from LOG_TABLE, with no mod 255 and no copy of either table
+    assert len(EXP_TABLE) == 765
+    i = np.arange(765)
+    assert np.array_equal(EXP_TABLE[i], EXP_TABLE[i % 255])
+    assert LOG_TABLE.dtype == np.int16
+    x = np.arange(1, 256)
+    assert np.array_equal(EXP_TABLE[LOG_TABLE[x]], x)
+    assert not EXP_TABLE.flags.writeable and not LOG_TABLE.flags.writeable
+
+
 def test_associativity_and_distributivity_random_triples():
     rng = np.random.default_rng(7)
     n = 200_000
@@ -130,7 +141,7 @@ def reference_mat_mul(a, b):
 def test_mat_mul_matches_scalar_loop():
     rng = np.random.default_rng(11)
     inner = 64
-    wide = 2 * (_GATHER_INDICES // inner) + 3  # spans three column blocks
+    wide = 2 * (_GATHER_BYTES // np.dtype(np.intp).itemsize // inner) + 3  # three column blocks
     shapes = [(3, 20, 1), (3, 20, 4), (3, 20, 1500), (2, inner, wide), (4, 1, 7)]
     for rows, inner_dim, cols in shapes:
         a = rng.integers(0, 256, (rows, inner_dim), dtype=np.uint8)
@@ -221,7 +232,7 @@ def test_mat_mul_batch_matches_each_item():
     # holding more than c items (here 4 columns at inner 40; 8 columns at
     # inner 128, where a block holds exactly 8 items, and at inner 113, 9)
     rng = np.random.default_rng(19)
-    batch_block = _BATCH_INDICES // (40 * 4)  # items per batch-major block
+    batch_block = _GATHER_BYTES // np.dtype(np.uint16).itemsize // (40 * 4)  # items per batch-major block
     shapes = [
         (1, 3, 97, 1500), (300, 4, 40, 4), (5, 2, 9, 3), (7, 8, 100, 90),
         (4, 3, 40, 4), (5, 3, 40, 4),  # items == width, one past it
