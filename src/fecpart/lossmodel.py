@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,14 @@ class BecChannel:
     p_e: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_e <= 1.0:
-            raise ValueError(f"erasure probability must be in [0, 1], got {self.p_e}")
+        # stored as a Python float: a NumPy scalar would carry its own
+        # precision into every binomial mass (float32 sums miss 1 by 2.5e-7)
+        if isinstance(self.p_e, bool) or not isinstance(self.p_e, numbers.Real):
+            raise TypeError(f"erasure probability must be a real number, got {self.p_e!r}")
+        p_e = float(self.p_e)
+        if not 0.0 <= p_e <= 1.0:
+            raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
+        object.__setattr__(self, "p_e", p_e)
 
 
 @dataclass(frozen=True)

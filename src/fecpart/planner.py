@@ -1,11 +1,15 @@
 """Code-configuration search against a residual-loss-rate target.
 
 Two searches: the smallest n whose C(n, k) code meets a PLR target on a
-given channel (PLR is monotone in n, so a linear upward scan finds the
-minimum and yields the n-1 witness for free; `plan` reports both the
-witness's PLR and the number of n scanned), and the number of excess
-parity packets a partitioned code needs before its PLR comes within a
-tolerance delta of the unpartitioned code's.
+given channel, and the number of excess parity packets a partitioned code
+needs before its PLR comes within a tolerance delta of the unpartitioned
+code's.  PLR falls as n grows, so the first search need not evaluate every
+code: it doubles the parity count p = n - k until a code meets the target
+(exponential search; Bentley & Yao, "An almost optimal algorithm for
+unbounded searching", IPL 1976), then bisects between the last code that
+missed and the first that met it.  The code it returns and the witness
+C(n-1, k), which misses, are both among the codes it evaluated, so `plan`
+reports both PLRs and the number of codes evaluated at no extra cost.
 """
 
 from __future__ import annotations
@@ -73,41 +77,67 @@ class PartitionPlan:
 
 @dataclass(frozen=True)
 class PlanResult:
+    """The planned code with its PLR, its witness's PLR and the search cost."""
+
     spec: CodeSpec
     plr: float
     ri: float  # redundancy ratio p/k, reporting only
     # PLR of the witness C(n-1, k), which misses the target; None if n = k+1
     witness_plr: float | None
-    n_scanned: int  # codes the n-scan evaluated, n = k+1 .. spec.n
+    # codes the minimal-n search evaluated: 1 if n = k+1, else at most
+    # 2*ceil(log2(n-k))+1
+    n_scanned: int
     partition: PartitionPlan | None = None
 
 
 def min_n_for_target(
-    k: int, ch: BecChannel, plr_target: float, *, plrs: list | None = None
+    k: int, ch: BecChannel, plr_target: float, *, plrs: dict | None = None
 ) -> CodeSpec:
     """Smallest n > k whose C(n, k) code has PLR <= plr_target on `ch`.
 
-    Scans upward from n = k+1; the first hit is minimal because adding a
-    parity packet never increases the PLR.  Raises ValueError unless
-    0 < plr_target < 1, and CapacityError if no n within the field bound
-    reaches it.  If `plrs` is given, the PLR of every scanned n is appended
-    to it in scan order, so the last entry is the result's and the one
-    before it the witness's.
+    Probes p = n - k = 1, 2, 4, ... (the last probe capped at the field
+    bound) until a code meets the target, then bisects between the last
+    miss and that first hit.  An answer costs at most 2*ceil(log2(n-k))+1
+    PLR evaluations, a CapacityError ceil(log2(255-k))+1, and C(n-1, k) is
+    always one of the evaluated codes.  Adding a parity packet never
+    increases the PLR, so for a target below p_e * (1 - 1e-9) the result
+    is the first n an upward scan would reach (the tests check this over a
+    sweep of k, p_e and targets).  Closer to p_e every code's computed PLR
+    is p_e up to rounding and need not fall with n: the result still meets
+    the target and C(n-1, k) still misses it, but a scan could stop earlier
+    on a rounding dip.  Raises ValueError unless 0 < plr_target < 1, and
+    CapacityError if C(255, k) misses the target.  If `plrs` is given, the
+    PLR of every evaluated code is stored in it under its n.
     """
     k = _block_length(k)
     _check_target(plr_target)
     if ch.p_e >= 1.0:
         raise CapacityError("every packet is erased; no code can meet a target")
-    for n in range(k + 1, MAX_CODE_LENGTH + 1):
-        plr = analytic_plr(CodeSpec(n, k), ch).plr
-        if plrs is not None:
-            plrs.append(plr)
-        if plr <= plr_target:
-            return CodeSpec(n, k)
-    raise CapacityError(
-        f"no n <= {MAX_CODE_LENGTH} meets PLR <= {plr_target} for k={k}, "
-        f"p_e={ch.p_e}"
-    )
+    if plrs is None:
+        plrs = {}
+
+    def meets(p):
+        n = k + p
+        plrs[n] = analytic_plr(CodeSpec(n, k), ch).plr
+        return plrs[n] <= plr_target
+
+    top = MAX_CODE_LENGTH - k
+    miss, p = 0, 1  # p = 0 stands for "no code", which always misses
+    while not meets(p):
+        if p == top:
+            raise CapacityError(
+                f"no n <= {MAX_CODE_LENGTH} meets PLR <= {plr_target} for "
+                f"k={k}, p_e={ch.p_e}"
+            )
+        miss, p = p, min(2 * p, top)
+    hit = p
+    while hit - miss > 1:
+        mid = (miss + hit) // 2
+        if meets(mid):
+            hit = mid
+        else:
+            miss = mid
+    return CodeSpec(k + hit, k)
 
 
 def distribute_excess(parent: CodeSpec, ch: BecChannel, delta: float) -> PartitionPlan:
@@ -150,17 +180,18 @@ def distribute_excess(parent: CodeSpec, ch: BecChannel, delta: float) -> Partiti
 def plan(req: PlanRequest) -> PlanResult:
     """Pick the minimal code for `req`, partitioning it if requested.
 
-    The code's PLR, the witness's and the scan length all come from the
-    one n-scan, and the partition's PLR from the excess search.
+    The code's PLR, the witness's and the number of codes evaluated all
+    come from the one minimal-n search, and the partition's PLR from the
+    excess search.
     """
-    plrs = []
+    plrs = {}
     spec = min_n_for_target(req.k, req.ch, req.plr_target, plrs=plrs)
     partition = distribute_excess(spec, req.ch, req.delta) if req.partition else None
     return PlanResult(
         spec=spec,
-        plr=plrs[-1],
+        plr=plrs[spec.n],
         ri=spec.p / spec.k,
-        witness_plr=plrs[-2] if len(plrs) > 1 else None,
+        witness_plr=plrs.get(spec.n - 1),
         n_scanned=len(plrs),
         partition=partition,
     )

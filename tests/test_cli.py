@@ -73,7 +73,7 @@ def test_plan_prints_the_witness(capsys):
                        "--plr-target", "1e-5")
     assert code == 0
     payload = json.loads(out)
-    assert payload["n_scanned"] == 15  # n = 41 .. 55
+    assert payload["n_scanned"] == 8  # p = 1, 2, 4, 8, 16, 12, 14, 15 (n = 55)
     assert payload["witness_plr"] > 1e-5 >= payload["plr"]
     code, out, _ = run(capsys, "plan", "--k", "40", "--pe", "0")
     payload = json.loads(out)

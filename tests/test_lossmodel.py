@@ -89,6 +89,21 @@ def test_channel_validation():
         BecChannel(1.1)
 
 
+def test_channel_takes_any_real_as_a_python_float():
+    # a float32 p_e used to make binomial_pmf compute in float32, and the
+    # loss distribution then failed its sum-to-1 check; a bool planned as
+    # p_e = 1
+    for dtype in (np.float16, np.float32, np.float64):
+        p_e = dtype(0.1)
+        ch = BecChannel(p_e)
+        assert type(ch.p_e) is float and ch.p_e == float(p_e)
+        spec = CodeSpec(20, 10)
+        assert analytic_plr(spec, ch).plr == analytic_plr(spec, BecChannel(float(p_e))).plr
+    for bad in (True, False, np.True_, "0.1"):
+        with pytest.raises(TypeError):
+            BecChannel(bad)
+
+
 def test_loss_pmf_no_erasures():
     pmf = loss_pmf(CodeSpec(6, 4), BecChannel(0.0))
     assert pmf.probabilities[0] == 1.0

@@ -1,9 +1,13 @@
 """Configuration planner: minimal-n search and excess distribution."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
-from fecpart.codec import CodeSpec
+import fecpart.planner as planner
+from fecpart.codec import MAX_CODE_LENGTH, CodeSpec
 from fecpart.lossmodel import BecChannel, analytic_plr, partitioned_plr
 from fecpart.planner import (
     CapacityError,
@@ -59,7 +63,7 @@ def test_min_n_rejects_bad_k():
 
 
 def test_min_n_rejects_a_target_outside_0_1():
-    # checked before the scan, as PlanRequest checks it: the field bound is
+    # checked before the search, as PlanRequest checks it: the field bound is
     # not at fault, so the error must not be a CapacityError
     for target in (float("nan"), 0.0, -1e-5, 1.0, 2.0):
         with pytest.raises(ValueError) as err:
@@ -161,7 +165,7 @@ def test_plan_request_checks_k_against_the_field_limit():
 
 
 def test_plan_request_rejects_a_partition_of_one_source():
-    # k = 1 has no two-way split: the request is refused before any n-scan
+    # k = 1 has no two-way split: the request is refused before any minimal-n search
     for k in (1, np.int64(1)):
         with pytest.raises(ValueError, match="two-way split needs k >= 2"):
             PlanRequest(k=k, ch=BecChannel(0.05), partition=True)
@@ -171,11 +175,14 @@ def test_plan_request_rejects_a_partition_of_one_source():
 
 
 def test_plan_reports_the_witness_from_its_scan():
-    for k, p_e, target in ((40, 0.09, 1e-5), (80, 0.07, 1e-6), (20, 0.3, 1e-3)):
+    # n_scanned counts the codes evaluated: for n - k = 15, p = 1, 2, 4, 8,
+    # 16, then 12, 14 and 15 (an upward scan would evaluate 15)
+    cases = ((40, 0.09, 1e-5, 8), (80, 0.07, 1e-6, 10), (20, 0.3, 1e-3, 10))
+    for k, p_e, target, evaluated in cases:
         ch = BecChannel(p_e)
         result = plan(PlanRequest(k=k, ch=ch, plr_target=target))
         n = result.spec.n
-        assert result.n_scanned == n - k
+        assert result.n_scanned == evaluated
         assert result.plr == analytic_plr(result.spec, ch).plr
         assert result.witness_plr == analytic_plr(CodeSpec(n - 1, k), ch).plr
         assert result.witness_plr > target
@@ -194,3 +201,102 @@ def test_excess_grid_matches_golden_data():
         for k in FIG2_K_RANGE:
             ps = distribute_excess(CodeSpec(k + 5, k), ch, delta)
             assert ps.excess == expected_excess(p_e, k), (p_e, k)
+
+
+# the differential sweep: k at both ends of the field, channels from lossless
+# to nearly always erased, fixed targets down to 1e-280, and per (k, p_e)
+# the exact PLR of three seeded random codes and its float neighbours
+SWEEP_K = (1, 2, 3, 40, 100, 200, 253, 254)
+SWEEP_P_E = (0.0, 1e-6, 1e-3, 0.05, 0.3, 0.9, 0.999)
+SWEEP_TARGETS = (1e-1, 1e-2, 1e-3, 1e-5, 1e-9, 1e-15, 1e-30, 1e-60, 1e-100,
+                 1e-160, 1e-220, 1e-280)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_plr(n, k, p_e):
+    # analytic_plr's own report, computed once per code for the whole sweep
+    return analytic_plr(CodeSpec(n, k), BecChannel(p_e))
+
+
+def sweep():
+    rng = np.random.default_rng(2022)
+    for k in SWEEP_K:
+        for p_e in SWEEP_P_E:
+            targets = list(SWEEP_TARGETS)
+            for n in rng.integers(k + 1, MAX_CODE_LENGTH + 1, size=3):
+                plr = cached_plr(int(n), k, p_e).plr
+                targets += [math.nextafter(plr, 0.0), plr, math.nextafter(plr, 1.0)]
+            for target in targets:
+                if 0.0 < target < 1.0:
+                    yield k, p_e, target
+
+
+def scan(k, p_e, target):
+    """The upward scan the search replaced: the first n that meets target."""
+    for n in range(k + 1, MAX_CODE_LENGTH + 1):
+        if cached_plr(n, k, p_e).plr <= target:
+            return n
+    return None
+
+
+@pytest.fixture
+def plr_calls(monkeypatch):
+    """The codes the planner evaluates, served from the sweep's cache."""
+    calls = []
+
+    def counted(code, ch):
+        calls.append(code)
+        return cached_plr(code.n, code.k, ch.p_e)
+
+    monkeypatch.setattr(planner, "analytic_plr", counted)
+    return calls
+
+
+def test_search_gives_the_scan_answers(plr_calls):
+    # Below p_e * (1 - 1e-9) the computed PLR falls monotonically in n and
+    # the answers must be the scan's floats.  Closer to p_e every code's PLR
+    # is p_e up to rounding, and the scan's first hit can be a rounding dip,
+    # so there only the contract holds: the result meets the target and
+    # n - 1 misses it, and CapacityError is raised exactly when C(255, k)
+    # misses it.
+    for k, p_e, target in sweep():
+        case = (k, p_e, target)
+        try:
+            result = plan(PlanRequest(k=k, ch=BecChannel(p_e), plr_target=target))
+        except CapacityError:
+            result = None
+        if target < p_e * (1 - 1e-9):
+            n = scan(k, p_e, target)
+            if n is None:
+                assert result is None, case
+                continue
+            assert result is not None and result.spec == CodeSpec(n, k), case
+            assert result.plr == cached_plr(n, k, p_e).plr, case
+            witness = cached_plr(n - 1, k, p_e).plr if n > k + 1 else None
+            assert result.witness_plr == witness, case
+        else:
+            top_misses = cached_plr(MAX_CODE_LENGTH, k, p_e).plr > target
+            assert (result is None) == top_misses, case
+            if result is None:
+                continue
+            n = result.spec.n
+            assert result.plr == cached_plr(n, k, p_e).plr <= target, case
+            if n > k + 1:
+                assert result.witness_plr == cached_plr(n - 1, k, p_e).plr > target, case
+
+
+def test_search_cost_is_logarithmic(plr_calls):
+    for k, p_e, target in sweep():
+        plr_calls.clear()
+        try:
+            n = min_n_for_target(k, BecChannel(p_e), target).n
+        except CapacityError:
+            bound = math.ceil(math.log2(MAX_CODE_LENGTH - k)) + 1
+        else:
+            bound = 2 * math.ceil(math.log2(n - k)) + 1
+        assert len(plr_calls) <= bound, (k, p_e, target, len(plr_calls))
+    # test_min_n_capacity_error's request: an upward scan evaluates 55 codes
+    plr_calls.clear()
+    with pytest.raises(CapacityError):
+        min_n_for_target(200, BecChannel(0.3), 1e-9)
+    assert len(plr_calls) <= 7
